@@ -31,11 +31,6 @@ Built-in backends
     clear-on-overflow, and iterative (explicit-stack) ``apply`` /
     ``exist`` / ``rel_prod`` / ``not_`` / ``ite`` / ``replace`` so deep
     diagrams cannot hit ``RecursionError``.
-``arena``
-    The vectorized backend: the packed flat-arena node representation
-    plus native implementations of the fused superops (a single-pass
-    ``rel_prod_replace`` that renames while the join result is built)
-    and a level-synchronized frontier ``apply`` for wide arenas.
 
 All backends build *identical* reduced ordered BDDs for the same
 variable order, so serialized artifacts (``.ptdb`` databases,
@@ -402,7 +397,6 @@ def _tally_wrap(name: str, fn):
 _REGISTRY: Dict[str, object] = {
     "reference": "repro.bdd.backends.reference:ReferenceBDD",
     "packed": "repro.bdd.backends.packed:PackedBDD",
-    "arena": "repro.bdd.backends.arena:ArenaBDD",
 }
 
 

@@ -3,7 +3,8 @@
 The paper relies on *static* order search (bddbddb's FindBestOrder tries
 candidate orders empirically); production BDD packages like BuDDy and CUDD
 additionally offer dynamic reordering.  This module provides both styles
-on top of :class:`repro.bdd.manager.BDD`:
+on top of any :class:`repro.bdd.api.BddKernel` backend
+(``repro.bdd.backends``):
 
 * :func:`sift_order` — given the functions you care about, tentatively
   move each domain block through every position, keep the best, and

@@ -51,19 +51,15 @@ __all__ = [
     "main",
 ]
 
-DEFAULT_BACKENDS = ("reference", "packed", "arena")
-
-#: Default comparison matrix: all three backends crossed with the plan
-#: optimizer on and off.  All six must be bit-identical — the optimized
+#: Default comparison matrix: both backends crossed with the plan
+#: optimizer on and off.  All four must be bit-identical — the optimized
 #: configs additionally exercise the fused superops (``rel_prod_replace``
-#: / ``and_exist``), which the arena backend executes natively.
+#: / ``and_exist``).
 DEFAULT_CONFIGS = (
     "reference+opt",
     "reference+noopt",
     "packed+opt",
     "packed+noopt",
-    "arena+opt",
-    "arena+noopt",
 )
 
 

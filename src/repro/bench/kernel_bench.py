@@ -33,7 +33,7 @@ from ..bdd.api import BddKernel, create_kernel
 
 __all__ = ["bench_ops", "bench_solves", "run_kernel_bench", "main"]
 
-DEFAULT_BACKENDS = ("reference", "packed", "arena")
+DEFAULT_BACKENDS = ("reference", "packed")
 
 # Synthetic workload shape: k-bit state space, R(x, x') interleaved.
 _BITS = 12

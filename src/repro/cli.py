@@ -1134,7 +1134,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--backend", metavar="NAME",
-        help="BDD kernel backend for the in-memory arena (default: "
+        help="BDD kernel backend: reference or packed (default: "
         "$REPRO_BDD_BACKEND or 'reference')",
     )
     p_serve.set_defaults(func=_cmd_serve)

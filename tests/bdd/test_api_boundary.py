@@ -5,8 +5,8 @@ The pluggable-kernel design only holds if no consumer reaches around
 modules may restructure their node tables, cache layouts, and handle
 packing freely as long as the ``BddKernel`` surface is stable.  These
 tests AST-parse every module under ``src/repro`` and fail on any import
-that resolves into ``repro.bdd.backends`` (or the legacy
-``repro.bdd.manager`` shim) from outside the backend package itself.
+that resolves into ``repro.bdd.backends`` from outside the backend
+package itself.
 """
 
 import ast
@@ -16,7 +16,6 @@ import repro
 
 SRC_ROOT = pathlib.Path(repro.__file__).resolve().parent.parent
 BACKEND_PKG = "repro.bdd.backends"
-LEGACY_SHIM = "repro.bdd.manager"
 
 
 def _module_name(path: pathlib.Path) -> str:
@@ -64,30 +63,12 @@ def test_no_consumer_imports_backend_internals():
         module = _module_name(path)
         if module.startswith(BACKEND_PKG):
             continue  # backends may import each other (packed extends reference)
-        if module == "repro.bdd.manager":
-            continue  # the shim itself documents where the code moved
         for target in _imports(path):
             if target == BACKEND_PKG or target.startswith(BACKEND_PKG + "."):
                 offenders.append(f"{module} imports {target}")
     assert not offenders, (
         "backend internals leaked past the BddKernel API:\n  "
         + "\n  ".join(offenders)
-    )
-
-
-def test_no_consumer_imports_legacy_manager_shim():
-    """New code goes through ``repro.bdd`` / ``create_kernel``; nothing in
-    the tree should still depend on the pre-split module path."""
-    offenders = []
-    for path in _source_files():
-        module = _module_name(path)
-        if module in ("repro.bdd", "repro.bdd.manager"):
-            continue  # the package keeps the shim importable for external callers
-        for target in _imports(path):
-            if target == LEGACY_SHIM or target.startswith(LEGACY_SHIM + "."):
-                offenders.append(f"{module} imports {target}")
-    assert not offenders, (
-        "legacy manager-shim imports remain:\n  " + "\n  ".join(offenders)
     )
 
 

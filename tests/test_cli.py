@@ -184,6 +184,24 @@ class TestErrorReporting:
         assert main(["datalog", str(dl), "--facts", str(tmp_path / "no")]) == 66
         assert "input not found" in capsys.readouterr().err
 
+    UNKNOWN_BACKEND = (
+        "unknown BDD backend 'arena' (available: packed, reference)"
+    )
+
+    def test_unknown_backend_flag_exit_65(self, clean_file, capsys):
+        argv = ["analyze", clean_file, "--no-library", "--backend", "arena"]
+        assert main(argv) == 65
+        err = capsys.readouterr().err
+        assert self.UNKNOWN_BACKEND in err
+        assert "Traceback" not in err
+
+    def test_unknown_backend_env_exit_65(self, clean_file, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_BDD_BACKEND", "arena")
+        assert main(["analyze", clean_file, "--no-library"]) == 65
+        err = capsys.readouterr().err
+        assert self.UNKNOWN_BACKEND in err
+        assert "Traceback" not in err
+
 
 class TestDatalogSubcommand:
     def test_solve_and_dump(self, tmp_path, datalog_setup, capsys):
