@@ -117,7 +117,6 @@ class ContextSensitiveAnalysis:
         truncate_cap: int = 64,
         backend: Optional[str] = None,
         optimize: Optional[bool] = None,
-        disabled_passes: Optional[Sequence[str]] = None,
         trace_ops: bool = False,
     ) -> None:
         if facts is None:
@@ -143,7 +142,6 @@ class ContextSensitiveAnalysis:
         self.truncate_cap = truncate_cap
         self.backend = backend
         self.optimize = optimize
-        self.disabled_passes = disabled_passes
         self.trace_ops = trace_ops
 
     # ------------------------------------------------------------------
@@ -159,7 +157,6 @@ class ContextSensitiveAnalysis:
             discover_call_graph=True,
             backend=self.backend,
             optimize=self.optimize,
-            disabled_passes=self.disabled_passes,
         ).run()
         return ci.discovered_call_graph
 
@@ -189,7 +186,6 @@ class ContextSensitiveAnalysis:
             budget=budget,
             backend=self.backend,
             optimize=self.optimize,
-            disabled_passes=self.disabled_passes,
             trace_ops=self.trace_ops,
         )
         if install:
@@ -249,7 +245,6 @@ class ContextSensitiveAnalysis:
                 budget=self.budget,
                 backend=self.backend,
                 optimize=self.optimize,
-                disabled_passes=self.disabled_passes,
             ).run()
             result.degraded = True
             result.resumed = False
@@ -329,7 +324,6 @@ class ContextSensitiveAnalysis:
                     budget=budget.share_deadline(),
                     backend=self.backend,
                     optimize=self.optimize,
-                    disabled_passes=self.disabled_passes,
                 ).run()
                 graph = ci_result.discovered_call_graph
 
@@ -457,7 +451,6 @@ class ContextSensitiveAnalysis:
                         budget=budget.share_deadline(),
                         backend=self.backend,
                         optimize=self.optimize,
-                        disabled_passes=self.disabled_passes,
                     ).run()
             except ReproError as err:
                 report.record(

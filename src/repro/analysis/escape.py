@@ -289,7 +289,6 @@ class ThreadEscapeAnalysis:
         budget=None,
         backend: Optional[str] = None,
         optimize: Optional[bool] = None,
-        disabled_passes: Optional[Sequence[str]] = None,
         trace_ops: bool = False,
         thread_sites: Optional[Sequence[Tuple[int, int]]] = None,
     ) -> None:
@@ -305,7 +304,6 @@ class ThreadEscapeAnalysis:
         self.budget = budget
         self.backend = backend
         self.optimize = optimize
-        self.disabled_passes = disabled_passes
         self.trace_ops = trace_ops
 
     # ------------------------------------------------------------------
@@ -321,7 +319,6 @@ class ThreadEscapeAnalysis:
             discover_call_graph=True,
             backend=self.backend,
             optimize=self.optimize,
-            disabled_passes=self.disabled_passes,
         ).run()
         return ci.discovered_call_graph
 
@@ -345,7 +342,6 @@ class ThreadEscapeAnalysis:
             budget=self.budget,
             backend=self.backend,
             optimize=self.optimize,
-            disabled_passes=self.disabled_passes,
             trace_ops=self.trace_ops,
         )
         solver.add_tuples("assign", inputs.assign)

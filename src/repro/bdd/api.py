@@ -101,14 +101,9 @@ class BddKernel(ABC):
     ``cache_clears``        clear-on-overflow events
     ``peak_cache_entries``  high-water operation-cache entry count
     ``backend_name``        registry name of the backend (class attribute)
-    ``op_tallies``          per-kind count of *top-level* relational op
-                            calls (``and_``, ``exist``, ``replace``, ...)
-                            — maintained automatically by the ABC (see
-                            ``__init_subclass__``), cumulative over the
-                            kernel's lifetime, never reset by GC or cache
-                            clears.  The plan executor's per-op counters
-                            (``SolveStats.plan_ops``) sit one layer above
-                            this: a single plan op maps to one tally here.
+
+    Relational operations are not counted here: the plan executor's
+    ``SolveStats.plan_ops`` is the one per-op counter, one layer above.
     """
 
     #: Registry name; concrete backends override this.
@@ -121,45 +116,6 @@ class BddKernel(ABC):
     cache_limit: Optional[int]
     cache_clears: int
     peak_cache_entries: int
-
-    #: Reentrancy latch for the tally wrappers: recursive self-calls
-    #: (e.g. ``not_`` descending a diagram, ``ite`` negating a branch)
-    #: must not inflate the counts — only kernel *entry* calls tally.
-    _in_tallied_op: bool = False
-
-    #: Public relational operations whose entry calls are tallied.
-    _TALLIED_OPS: Tuple[str, ...] = (
-        "and_",
-        "or_",
-        "diff",
-        "xor",
-        "not_",
-        "ite",
-        "exist",
-        "forall",
-        "rel_prod",
-        "replace",
-        "rel_prod_replace",
-    )
-
-    def __init_subclass__(cls, **kwargs) -> None:
-        """Wrap every concrete tallied op so each top-level invocation
-        increments ``self.op_tallies[name]``.  Applying the wrapper here
-        means any registered backend — including third-party ones — gets
-        the counters without instrumenting its own methods."""
-        super().__init_subclass__(**kwargs)
-        for name in cls._TALLIED_OPS:
-            fn = cls.__dict__.get(name)
-            if fn is None or getattr(fn, "_tallied", False):
-                continue
-            setattr(cls, name, _tally_wrap(name, fn))
-
-    @property
-    def op_tallies(self) -> Dict[str, int]:
-        tallies = self.__dict__.get("_op_tallies")
-        if tallies is None:
-            tallies = self.__dict__["_op_tallies"] = {}
-        return tallies
 
     # ------------------------------------------------------------------
     # Node primitives
@@ -350,42 +306,6 @@ class BddKernel(ABC):
     @abstractmethod
     def to_dot(self, u: int, name: str = "bdd") -> str:
         """Graphviz rendering of the BDD rooted at ``u`` (debugging)."""
-
-    def stats(self) -> Dict[str, int]:
-        """Snapshot of the kernel counters (provenance records)."""
-        return {
-            "backend": self.backend_name,
-            "num_vars": self.num_vars,
-            "nodes": self.node_count(),
-            "peak_nodes": self.peak_nodes,
-            "op_count": self.op_count,
-            "gc_count": self.gc_count,
-            "cache_entries": self.cache_entries(),
-            "peak_cache_entries": self.peak_cache_entries,
-            "cache_clears": self.cache_clears,
-            "op_tallies": dict(self.op_tallies),
-        }
-
-
-def _tally_wrap(name: str, fn):
-    """Count top-level calls to a kernel op (see ``_TALLIED_OPS``)."""
-
-    def wrapped(self, *args, **kwargs):
-        if self._in_tallied_op:
-            return fn(self, *args, **kwargs)
-        tallies = self.op_tallies
-        tallies[name] = tallies.get(name, 0) + 1
-        self._in_tallied_op = True
-        try:
-            return fn(self, *args, **kwargs)
-        finally:
-            self._in_tallied_op = False
-
-    wrapped._tallied = True
-    wrapped.__name__ = fn.__name__
-    wrapped.__doc__ = fn.__doc__
-    wrapped.__qualname__ = getattr(fn, "__qualname__", fn.__name__)
-    return wrapped
 
 
 # ----------------------------------------------------------------------

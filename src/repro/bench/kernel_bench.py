@@ -164,6 +164,45 @@ def _parse_solve_config(config: str):
     )
 
 
+def _analysis_without(disabled: Sequence[str]):
+    """Algorithm 5 with the ``disabled`` optimizer passes off in both of
+    its solves, call-graph discovery and the cloned solve.  Only the
+    solver and Algorithm 3 take a pass switch, so the override goes
+    through those two entry points."""
+    from ..analysis import ContextInsensitiveAnalysis, ContextSensitiveAnalysis
+    from ..analysis.base import load_datalog_source, make_solver
+
+    class Analysis(ContextSensitiveAnalysis):
+        def _obtain_call_graph(self):
+            return ContextInsensitiveAnalysis(
+                facts=self.facts,
+                type_filtering=True,
+                discover_call_graph=True,
+                backend=self.backend,
+                optimize=self.optimize,
+                disabled_passes=disabled,
+            ).run().discovered_call_graph
+
+        def _build_solver(
+            self, numbering, graph, order_spec, budget=None, install=True
+        ):
+            solver = make_solver(
+                self.facts,
+                load_datalog_source(self.algorithm, self.query_fragments),
+                size_overrides={"C": numbering.context_domain_size()},
+                order_spec=order_spec,
+                budget=budget,
+                backend=self.backend,
+                optimize=self.optimize,
+                disabled_passes=disabled,
+            )
+            if install:
+                self._install_numbering(solver, numbering, graph)
+            return solver
+
+    return Analysis
+
+
 def bench_solves(
     config: str, entries: Sequence[str]
 ) -> Dict[str, Dict[str, Any]]:
@@ -178,13 +217,15 @@ def bench_solves(
     from .corpus import corpus_entry
 
     backend, optimize, disabled = _parse_solve_config(config)
+    analysis = (
+        _analysis_without(disabled) if disabled else ContextSensitiveAnalysis
+    )
     out: Dict[str, Dict[str, Any]] = {}
     for name in entries:
         facts = extract_facts(corpus_entry(name).build())
         t0 = time.monotonic()
-        result = ContextSensitiveAnalysis(
-            facts=facts, backend=backend, optimize=optimize,
-            disabled_passes=disabled,
+        result = analysis(
+            facts=facts, backend=backend, optimize=optimize
         ).run()
         seconds = round(time.monotonic() - t0, 3)
         solver = result.solver

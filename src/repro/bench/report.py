@@ -33,6 +33,10 @@ class ReportCheck:
     detail: str = ""
 
 
+def _seconds(run: BenchmarkRun, *algs: int) -> str:
+    return ", ".join(f"A{a} {getattr(run, f'alg{a}')[0]:.2f}s" for a in algs)
+
+
 def qualitative_checks(runs: Sequence[BenchmarkRun]) -> List[ReportCheck]:
     """Evaluate the paper's headline claims on a set of benchmark runs."""
     checks: List[ReportCheck] = []
@@ -47,21 +51,35 @@ def qualitative_checks(runs: Sequence[BenchmarkRun]) -> List[ReportCheck]:
         )
     )
 
+    # Cost is judged on peak BDD nodes (Figure 4's memory column), which
+    # is deterministic for a backend; the seconds, timed in separate
+    # solves, are reported alongside but decide nothing.
     cs_most_expensive = all(
-        r.alg5[0] >= max(r.alg1[0], r.alg2[0], r.alg7[0]) * 0.8 for r in runs
+        r.alg5[1] >= max(r.alg1[1], r.alg2[1], r.alg7[1]) for r in runs
     )
     checks.append(
         ReportCheck(
             claim="Context-sensitive pointer analysis dominates cost",
             passed=cs_most_expensive,
+            detail="; ".join(
+                f"{r.name}: peak nodes A5 {r.alg5[1]} vs max(A1, A2, A7) "
+                f"{max(r.alg1[1], r.alg2[1], r.alg7[1])} "
+                f"({_seconds(r, 1, 2, 5, 7)})"
+                for r in runs
+            ),
         )
     )
 
-    type_cheaper = all(r.alg6[0] <= r.alg5[0] * 1.1 for r in runs)
+    type_cheaper = all(r.alg6[1] <= r.alg5[1] for r in runs)
     checks.append(
         ReportCheck(
             claim="Context-sensitive type analysis cheaper than pointers",
             passed=type_cheaper,
+            detail="; ".join(
+                f"{r.name}: peak nodes A6 {r.alg6[1]} vs A5 {r.alg5[1]} "
+                f"({_seconds(r, 5, 6)})"
+                for r in runs
+            ),
         )
     )
 

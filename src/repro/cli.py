@@ -158,13 +158,10 @@ def _print_degradation(result) -> None:
         print(f"degraded: {result.degradation.summary()}", file=sys.stderr)
 
 
-def _plan_opts(args):
-    """(optimize, disabled_passes) from --no-opt / --disable-pass."""
-    optimize = False if getattr(args, "no_opt", False) else None
-    disabled: List[str] = []
-    for spec in getattr(args, "disable_pass", None) or ():
-        disabled.extend(s.strip() for s in spec.split(",") if s.strip())
-    return optimize, (disabled or None)
+def _optimize(args) -> Optional[bool]:
+    """``optimize=`` for the solvers: False under --no-opt, else None
+    (the solver consults $REPRO_PLAN_OPT)."""
+    return False if getattr(args, "no_opt", False) else None
 
 
 def _print_profile(solver, as_json: bool) -> None:
@@ -248,8 +245,7 @@ def _cmd_analyze_isolated(args, paths: List[str]) -> int:
                 "checkpoint_dir": args.checkpoint_dir,
                 "vars": list(args.var or ()),
                 "backend": args.backend,
-                "optimize": _plan_opts(args)[0],
-                "disabled_passes": _plan_opts(args)[1],
+                "optimize": _optimize(args),
             }
         )
     # The cooperative --timeout doubles as a hard backstop: a worker that
@@ -321,7 +317,7 @@ def _cmd_analyze_isolated(args, paths: List[str]) -> int:
 def _analyze_one(args, path: str) -> int:
     program, facts = _load(args, path)
     budget = _budget_of(args)
-    optimize, disabled = _plan_opts(args)
+    optimize = _optimize(args)
     if args.context_sensitive:
         result = ContextSensitiveAnalysis(
             facts=facts,
@@ -330,7 +326,6 @@ def _analyze_one(args, path: str) -> int:
             degrade=not args.no_degrade,
             backend=args.backend,
             optimize=optimize,
-            disabled_passes=disabled,
         ).run()
         _print_degradation(result)
         report = result.degradation
@@ -349,7 +344,7 @@ def _analyze_one(args, path: str) -> int:
     else:
         result = ContextInsensitiveAnalysis(
             facts=facts, budget=budget, backend=args.backend,
-            optimize=optimize, disabled_passes=disabled,
+            optimize=optimize,
         ).run()
         print(
             f"context-insensitive points-to: "
@@ -642,10 +637,9 @@ def _cmd_datalog(args) -> int:
         program = parse_datalog(source, domain_sizes=sizes or None)
     except DatalogError as err:
         raise DatalogError(f"{args.program}: {err}") from err
-    optimize, disabled = _plan_opts(args)
     solver = Solver(
         program, naive=args.naive, budget=_budget_of(args),
-        backend=args.backend, optimize=optimize, disabled_passes=disabled,
+        backend=args.backend, optimize=_optimize(args),
         trace_ops=args.explain_plan,
     )
     if args.facts:
@@ -719,7 +713,6 @@ def _cmd_recompile(args) -> int:
         write_fixpoint_bundle,
     )
 
-    optimize, disabled = _plan_opts(args)
     start = time.monotonic()
     result = recompile_database(
         args.db,
@@ -727,8 +720,7 @@ def _cmd_recompile(args) -> int:
         fixpoint_path=args.fixpoint,
         backend=args.backend,
         budget=_budget_of(args),
-        optimize=optimize,
-        disabled_passes=disabled,
+        optimize=_optimize(args),
     )
     db = result.db
     nodes = db.save(args.out)
@@ -863,11 +855,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--no-opt", action="store_true",
             help="disable the Datalog plan optimizer (run greedy plans; "
             "also $REPRO_PLAN_OPT=off)",
-        )
-        p.add_argument(
-            "--disable-pass", action="append", metavar="NAME",
-            help="disable one optimizer pass by name (repeatable or "
-            "comma-separated; also $REPRO_PLAN_DISABLE)",
         )
         p.add_argument(
             "--profile", action="store_true",
@@ -1153,21 +1140,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
             os.environ[BACKEND_ENV_VAR] = resolve_backend_name(backend)
         # Same deal for the plan optimizer: export the choice so worker
-        # subprocesses resolve identically, and reject unknown pass names
-        # before any solving starts.
-        optimize, disabled = _plan_opts(args)
-        if optimize is False or disabled:
-            from .datalog.passes import (
-                DISABLE_ENV_VAR,
-                OPT_ENV_VAR,
-                PassOptions,
-            )
+        # subprocesses resolve identically.
+        if _optimize(args) is False:
+            from .datalog.passes import OPT_ENV_VAR
 
-            PassOptions.resolve(optimize, disabled)  # validates names
-            if optimize is False:
-                os.environ[OPT_ENV_VAR] = "off"
-            if disabled:
-                os.environ[DISABLE_ENV_VAR] = ",".join(disabled)
+            os.environ[OPT_ENV_VAR] = "off"
         return args.func(args)
     except BrokenPipeError:
         # The consumer of our stdout (`head`, `grep -q`, ...) exited

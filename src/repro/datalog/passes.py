@@ -18,19 +18,11 @@ module rewrites the lowered :class:`~repro.datalog.plan.RulePlan` ops:
     greedy compilation sized (the optimizer must never change the BDD
     variable order, so solved relations stay bit-identical).
 
-``coalesce``
-    Merge single-use ``Exist``/``Exist`` and ``Replace``/``Replace``
-    chains into one operation.
-
-``dead-op``
-    Simplify identities (empty projections/renames, conjunction with
-    ``Top``) and drop ops whose results are never used.
-
-``hoist`` / ``cse``
+``hoist``
     Move loop-invariant atom-preparation chains into stratum preamble
-    slots evaluated at most once per relation version; ``cse``
-    additionally shares structurally identical slots across plans (the
-    delta variants of a rule usually prepare the same invariant atoms).
+    slots evaluated at most once per relation version, sharing
+    structurally identical slots across plans (the delta variants of a
+    rule usually prepare the same invariant atoms).
 
 ``fuse``
     Merge adjacent op pairs into fused superops (``Replace`` consuming a
@@ -40,15 +32,10 @@ module rewrites the lowered :class:`~repro.datalog.plan.RulePlan` ops:
     independent recursive plans of a stratum re-issue every fixpoint
     iteration into shared per-stratum slots (:class:`SharedLoad`).
 
-``reorder-rules``
-    Profile-guided: within a fixpoint iteration, apply recursive rules
-    most-productive-first (contributions are OR-accumulated per
-    iteration, so order cannot change the result — only cache warmth).
-
 Pass selection: ``PassOptions.resolve`` honours the ``REPRO_PLAN_OPT``
-(off/0/false disables the whole pipeline) and ``REPRO_PLAN_DISABLE``
-(comma-separated pass names) environment variables, overridden by the
-explicit ``optimize=`` / ``disabled_passes=`` solver arguments.
+environment variable (off/0/false disables the whole pipeline),
+overridden by the explicit ``optimize=`` solver argument.  The solver's
+``disabled_passes=`` argument switches single passes off for ablations.
 """
 
 from __future__ import annotations
@@ -83,7 +70,6 @@ from .plan import (
     RulePlan,
     SharedLoad,
     SharedSlot,
-    Top,
     validate_plan,
 )
 from .stratify import Stratum
@@ -95,20 +81,11 @@ __all__ = [
     "replace_cost",
 ]
 
-PASS_NAMES: Tuple[str, ...] = (
-    "assign-domains",
-    "coalesce",
-    "dead-op",
-    "hoist",
-    "cse",
-    "fuse",
-    "reorder-rules",
-)
+PASS_NAMES: Tuple[str, ...] = ("assign-domains", "hoist", "fuse")
 
-#: Environment switches (exported by the CLI so supervised workers and
+#: Environment switch (exported by the CLI so supervised workers and
 #: subprocesses inherit the choice).
 OPT_ENV_VAR = "REPRO_PLAN_OPT"
-DISABLE_ENV_VAR = "REPRO_PLAN_DISABLE"
 
 #: Relative execution frequency of a loop-invariant (hoistable) atom
 #: preparation versus one that runs every fixpoint iteration.
@@ -130,9 +107,7 @@ class PassOptions:
         if optimize is None:
             raw = os.environ.get(OPT_ENV_VAR, "on").strip().lower()
             optimize = raw not in ("off", "0", "false", "no", "none")
-        if disabled_passes is None:
-            raw = os.environ.get(DISABLE_ENV_VAR, "")
-            disabled_passes = [p.strip() for p in raw.split(",") if p.strip()]
+        disabled_passes = disabled_passes or ()
         unknown = set(disabled_passes) - set(PASS_NAMES)
         if unknown:
             raise DatalogError(
@@ -158,42 +133,13 @@ def _remap_inputs(op: Op, f) -> None:
         op.src = f(op.src)
 
 
-def _rebuild(
-    plan: RulePlan,
-    alias: Optional[Dict[int, int]] = None,
-    drop: Optional[Set[int]] = None,
-    dce: bool = True,
-) -> None:
-    """Drop ops, redirect readers through ``alias``, eliminate dead ops,
-    and renumber so ``op.out == index`` again (the executor invariant)."""
-    alias = alias or {}
-    drop = set(drop or ())
-
-    def resolve(r: int) -> int:
-        while r in alias:
-            r = alias[r]
-        return r
-
-    kept = [op for op in plan.ops if op.out not in drop]
-    for op in kept:
-        _remap_inputs(op, resolve)
-    if dce and kept:
-        by_out = {op.out: op for op in kept}
-        live: Set[int] = set()
-        stack = [kept[-1].out]
-        while stack:
-            r = stack.pop()
-            if r in live:
-                continue
-            live.add(r)
-            stack.extend(by_out[r].inputs())
-        kept = [op for op in kept if op.out in live]
+def _renumber_ops(ops: List[Op]) -> None:
+    """Renumber so ``op.out == index`` again (the executor invariant)."""
     reg_map: Dict[int, int] = {}
-    for idx, op in enumerate(kept):
+    for idx, op in enumerate(ops):
         _remap_inputs(op, lambda r: reg_map[r])
         reg_map[op.out] = idx
         op.out = idx
-    plan.ops = kept
 
 
 # ----------------------------------------------------------------------
@@ -368,86 +314,7 @@ def _pass_assign_domains(
 
 
 # ----------------------------------------------------------------------
-# coalesce: merge single-use Exist/Exist and Replace/Replace chains
-# ----------------------------------------------------------------------
-
-
-def _compose_renames(
-    inner: Tuple[Tuple[PhysRef, PhysRef], ...],
-    outer: Tuple[Tuple[PhysRef, PhysRef], ...],
-) -> Tuple[Tuple[PhysRef, PhysRef], ...]:
-    inner_map = dict(inner)
-    outer_map = dict(outer)
-    inner_targets = set(inner_map.values())
-    composed: Dict[PhysRef, PhysRef] = {}
-    for src, dst in inner_map.items():
-        composed[src] = outer_map.get(dst, dst)
-    for src, dst in outer_map.items():
-        if src not in inner_targets:
-            composed[src] = dst
-    return tuple(sorted((s, d) for s, d in composed.items() if s != d))
-
-
-def _coalesce_plan(plan: RulePlan) -> None:
-    while True:
-        by_out = {op.out: op for op in plan.ops}
-        uses: Dict[int, int] = {}
-        for op in plan.ops:
-            for r in op.inputs():
-                uses[r] = uses.get(r, 0) + 1
-        merged = False
-        for op in plan.ops:
-            if isinstance(op, Exist):
-                src = by_out[op.src]
-                if isinstance(src, Exist) and uses.get(src.out, 0) == 1:
-                    op.src = src.src
-                    op.refs = tuple(sorted(set(src.refs) | set(op.refs)))
-                    _rebuild(plan, drop={src.out}, dce=False)
-                    merged = True
-                    break
-            elif isinstance(op, Replace):
-                src = by_out[op.src]
-                if isinstance(src, Replace) and uses.get(src.out, 0) == 1:
-                    op.mapping = _compose_renames(src.mapping, op.mapping)
-                    op.src = src.src
-                    _rebuild(plan, drop={src.out}, dce=False)
-                    merged = True
-                    break
-        if not merged:
-            return
-
-
-# ----------------------------------------------------------------------
-# dead-op: identity simplification + dead code elimination
-# ----------------------------------------------------------------------
-
-
-def _dead_op_plan(plan: RulePlan) -> None:
-    while True:
-        by_out = {op.out: op for op in plan.ops}
-        alias: Dict[int, int] = {}
-        drop: Set[int] = set()
-        for op in plan.ops:
-            if isinstance(op, Exist) and not op.refs:
-                alias[op.out] = op.src
-                drop.add(op.out)
-            elif isinstance(op, Replace) and not op.mapping:
-                alias[op.out] = op.src
-                drop.add(op.out)
-            elif isinstance(op, And):
-                if isinstance(by_out[op.lhs], Top):
-                    alias[op.out] = op.rhs
-                    drop.add(op.out)
-                elif isinstance(by_out[op.rhs], Top):
-                    alias[op.out] = op.lhs
-                    drop.add(op.out)
-        _rebuild(plan, alias, drop, dce=True)
-        if not alias and not drop:
-            return
-
-
-# ----------------------------------------------------------------------
-# hoist (+ cse): loop-invariant preparation chains -> preamble slots
+# hoist: loop-invariant preparation chains -> preamble slots
 # ----------------------------------------------------------------------
 
 
@@ -471,7 +338,6 @@ def _pass_hoist(
     unit: PlanUnit,
     strata: Sequence[Stratum],
     rule_stratum: Dict[int, int],
-    share: bool,
 ) -> None:
     slot_by_key: Dict[Tuple, int] = {}
     stratum_slots: Dict[int, Set[int]] = {}
@@ -509,8 +375,7 @@ def _pass_hoist(
                 new_ops.extend(block)
                 i = j
                 continue
-            cache_scope = None if share else id(plan)
-            slot_key = (cache_scope, origin[0]) + _block_key(block)
+            slot_key = (origin[0],) + _block_key(block)
             # Capture the plan-level result register/spine before the block
             # ops are renumbered into slot-local registers.
             result_reg = block[-1].out
@@ -542,8 +407,8 @@ def _pass_hoist(
             changed = True
             i = j
         if changed:
+            _renumber_ops(new_ops)
             plan.ops = new_ops
-            _rebuild(plan, dce=False)
     unit.stratum_slots = {
         s_idx: sorted(slots) for s_idx, slots in stratum_slots.items()
     }
@@ -552,14 +417,6 @@ def _pass_hoist(
 # ----------------------------------------------------------------------
 # fuse: superop fusion + stratum shared-operand grouping
 # ----------------------------------------------------------------------
-
-
-def _renumber_ops(ops: List[Op]) -> None:
-    reg_map: Dict[int, int] = {}
-    for idx, op in enumerate(ops):
-        _remap_inputs(op, lambda r: reg_map[r])
-        reg_map[op.out] = idx
-        op.out = idx
 
 
 def _fuse_ops(ops: List[Op]) -> List[Op]:
@@ -706,25 +563,12 @@ def run_pipeline(
     if options.runs("assign-domains"):
         _pass_assign_domains(unit, rule_preds)
         applied.append("assign-domains")
-    if options.runs("coalesce"):
-        for plan in unit.plans.values():
-            _coalesce_plan(plan)
-        applied.append("coalesce")
-    if options.runs("dead-op"):
-        for plan in unit.plans.values():
-            _dead_op_plan(plan)
-        applied.append("dead-op")
     if options.runs("hoist"):
-        _pass_hoist(unit, strata, rule_stratum, share=options.runs("cse"))
+        _pass_hoist(unit, strata, rule_stratum)
         applied.append("hoist")
-        if options.runs("cse"):
-            applied.append("cse")
     if options.runs("fuse"):
         _pass_fuse(unit, strata, rule_stratum)
         applied.append("fuse")
-    if options.runs("reorder-rules"):
-        unit.reorder_rules = True
-        applied.append("reorder-rules")
     all_shared = {
         slot.slot: slot
         for slots in unit.stratum_shared.values()

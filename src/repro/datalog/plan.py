@@ -118,7 +118,7 @@ class Op:
         return ()
 
     def args_key(self) -> Tuple[Any, ...]:
-        """Non-register arguments (for structural CSE keys)."""
+        """Non-register arguments (for structural slot-sharing keys)."""
         return ()
 
 
@@ -422,7 +422,7 @@ class HoistedSlot:
     relation: str
     ops: List[Op]
     key: Tuple[Any, ...] = ()
-    #: plan labels sharing this slot (CSE provenance for --explain-plan).
+    #: plan labels sharing this slot (provenance for --explain-plan).
     shared_by: List[str] = field(default_factory=list)
 
 
@@ -453,7 +453,6 @@ class PlanUnit:
     stratum_slots: Dict[int, List[int]] = field(default_factory=dict)
     #: stratum index -> shared operand slots filled once per iteration.
     stratum_shared: Dict[int, List[SharedSlot]] = field(default_factory=dict)
-    reorder_rules: bool = False
     applied_passes: List[str] = field(default_factory=list)
 
 

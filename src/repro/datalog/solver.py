@@ -13,11 +13,11 @@ incrementalization for the ablation benchmark.
 Since the plan-IR refactor the solver is an *executor*: rules are lowered
 to the register op programs of :mod:`repro.datalog.plan`, the optimizer
 passes of :mod:`repro.datalog.passes` rewrite them (attribute assignment,
-rename coalescing, loop-invariant hoisting into stratum preamble slots,
-profile-guided rule reordering), and :meth:`Solver._apply_plan` interprets
-the result op by op, tallying executed operations per kind into
-``SolveStats.plan_ops`` and — under ``trace_ops=True`` — recording per-op
-timing and result sizes for ``repro datalog --explain-plan``.
+loop-invariant hoisting into stratum preamble slots, superop fusion), and
+:meth:`Solver._apply_plan` interprets the result op by op, tallying
+executed operations per kind into ``SolveStats.plan_ops`` and — under
+``trace_ops=True`` — recording per-op timing and result sizes for
+``repro datalog --explain-plan``.
 """
 
 from __future__ import annotations
@@ -54,8 +54,7 @@ _MAX_ITERATIONS = 100_000
 
 @dataclass
 class RuleProfile:
-    """Per-rule evaluation profile (the data behind bddbddb's rule-order
-    optimization: expensive rules are candidates for reordering)."""
+    """Per-rule evaluation profile (``--profile``)."""
 
     rule: str
     applications: int = 0
@@ -651,30 +650,6 @@ class Solver:
             stratum=sorted(stratum.predicates),
         )
 
-    def _recursive_rule_order(
-        self, stratum: Stratum, rule_index: Dict[int, int], iteration: int
-    ) -> List:
-        """Iteration's rule application order.  With the ``reorder-rules``
-        pass on, sort most-productive-first from the second iteration
-        (contributions are OR-accumulated per iteration, so order never
-        changes the fixpoint — only operation-cache warmth).  The sort key
-        is integer-only so the order is deterministic across machines."""
-        rules = list(stratum.recursive_rules)
-        if not self.plan_unit.reorder_rules or iteration == 0:
-            return rules
-
-        def key(pair):
-            pos, rule = pair
-            prof = self._profiles[rule_index[id(rule)]]
-            if prof.applications == 0:
-                return (0, pos)
-            # Productivity in milli-hits per application, negated so the
-            # most productive rule runs first; original position breaks
-            # ties stably.
-            return (-(prof.tuples_produced * 1000) // prof.applications, pos)
-
-        return [rule for _, rule in sorted(enumerate(rules), key=key)]
-
     def _solve_stratum_seminaive(
         self,
         stratum: Stratum,
@@ -714,7 +689,7 @@ class Solver:
                     else:
                         shared[slot.slot] = self.relations[slot.relation].node
             contributions: Dict[str, int] = {p: FALSE for p in stratum.predicates}
-            for rule in self._recursive_rule_order(stratum, rule_index, iteration):
+            for rule in stratum.recursive_rules:
                 ridx = rule_index[id(rule)]
                 for atom_pos, atom in enumerate(rule.positive_atoms):
                     if atom.relation not in stratum.predicates:

@@ -153,7 +153,6 @@ def recompile_database(
     backend: Optional[str] = None,
     budget: Optional[ResourceBudget] = None,
     optimize: Optional[bool] = None,
-    disabled_passes: Optional[Sequence[str]] = None,
 ) -> RecompileResult:
     """Apply ``diff`` to ``db``; return the recompiled database.
 
@@ -212,12 +211,12 @@ def recompile_database(
         return _cold_recompile(
             db, new_facts, provenance,
             modref=modref, main=main, backend=backend, budget=budget,
-            optimize=optimize, disabled_passes=disabled_passes,
+            optimize=optimize,
         )
     return _warm_recompile(
         db, bundle, base_facts, new_facts, applied, provenance,
         modref=modref, main=main, order_spec=order_spec, backend=backend,
-        budget=budget, optimize=optimize, disabled_passes=disabled_passes,
+        budget=budget, optimize=optimize,
     )
 
 
@@ -241,7 +240,7 @@ def _find_bundle(db, fixpoint_path) -> Optional[FixpointBundle]:
 
 def _cold_recompile(
     db, new_facts, provenance, *, modref, main,
-    backend, budget, optimize, disabled_passes,
+    backend, budget, optimize,
 ) -> RecompileResult:
     from ..serve.database import compile_database_with_state
 
@@ -254,7 +253,6 @@ def _cold_recompile(
         budget=budget,
         backend=backend,
         optimize=optimize,
-        disabled_passes=disabled_passes,
         provenance=dict(provenance, modes=modes),
     )
     return RecompileResult(
@@ -269,7 +267,7 @@ def _cold_recompile(
 
 def _warm_recompile(
     db, bundle, base_facts, new_facts, applied, provenance, *,
-    modref, main, order_spec, backend, budget, optimize, disabled_passes,
+    modref, main, order_spec, backend, budget, optimize,
 ) -> RecompileResult:
     from ..analysis.base import load_datalog_source, make_solver
     from ..analysis.context_sensitive import ContextSensitiveAnalysis
@@ -281,7 +279,6 @@ def _warm_recompile(
     solver_kwargs = dict(
         backend=backend,
         optimize=optimize,
-        disabled_passes=disabled_passes,
     )
     label = bundle.path
 

@@ -104,7 +104,6 @@ def _job_solve_tc(job: Dict[str, Any]) -> Dict[str, Any]:
         budget=_budget_from(job),
         backend=job.get("backend"),
         optimize=job.get("optimize"),
-        disabled_passes=job.get("disabled_passes"),
     )
     solver.add_tuples("edge", [(i, i + 1) for i in range(n)])
     t0 = time.monotonic()
@@ -156,7 +155,6 @@ def _job_analyze(job: Dict[str, Any]) -> Dict[str, Any]:
             budget=budget,
             backend=backend,
             optimize=job.get("optimize"),
-            disabled_passes=job.get("disabled_passes"),
         ).run()
         solve_seconds = time.monotonic() - t0
         out = {
@@ -176,7 +174,6 @@ def _job_analyze(job: Dict[str, Any]) -> Dict[str, Any]:
             truncate_cap=int(job.get("truncate_cap", 64)),
             backend=backend,
             optimize=job.get("optimize"),
-            disabled_passes=job.get("disabled_passes"),
         )
         result = analysis.run_rung(mode)
         solve_seconds = time.monotonic() - t0

@@ -608,7 +608,6 @@ def compile_database_with_state(
     order_spec: Optional[str] = None,
     backend: Optional[str] = None,
     optimize: Optional[bool] = None,
-    disabled_passes: Optional[Sequence[str]] = None,
     provenance: Optional[Dict[str, Any]] = None,
 ) -> Tuple[PointsToDatabase, CompileState]:
     """Solve a program once; return the database *and* the live solvers.
@@ -654,7 +653,6 @@ def compile_database_with_state(
         budget=budget.share_deadline() if budget is not None else None,
         backend=backend,
         optimize=optimize,
-        disabled_passes=disabled_passes,
     ).run()
     timings["context_insensitive_s"] = time.monotonic() - t0
     graph = ci.discovered_call_graph
@@ -677,7 +675,6 @@ def compile_database_with_state(
         degrade=False,
         backend=backend,
         optimize=optimize,
-        disabled_passes=disabled_passes,
     ).run()
     timings["context_sensitive_s"] = time.monotonic() - t0
 
@@ -688,7 +685,6 @@ def compile_database_with_state(
         budget=budget.share_deadline() if budget is not None else None,
         backend=backend,
         optimize=optimize,
-        disabled_passes=disabled_passes,
         thread_sites=thread_sites,
     ).run()
     timings["escape_s"] = time.monotonic() - t0

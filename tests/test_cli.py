@@ -253,28 +253,6 @@ class TestPlanFlags:
         assert "unoptimized" in out
         assert "path: 6 tuples" in out
 
-    def test_disable_pass(self, datalog_setup, capsys):
-        dl, facts = datalog_setup
-        code = main(
-            ["datalog", str(dl), "--facts", str(facts),
-             "--disable-pass", "hoist,cse", "--explain-plan"]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "slot#" not in out  # hoisting disabled: no preamble slots
-        assert "path: 6 tuples" in out
-
-    def test_unknown_pass_exit_65(self, datalog_setup, capsys):
-        dl, facts = datalog_setup
-        code = main(
-            ["datalog", str(dl), "--facts", str(facts),
-             "--disable-pass", "bogus"]
-        )
-        assert code == 65
-        err = capsys.readouterr().err
-        assert "unknown optimizer pass" in err
-        assert "Traceback" not in err
-
     def test_profile_table(self, datalog_setup, capsys):
         dl, facts = datalog_setup
         code = main(
