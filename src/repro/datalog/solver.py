@@ -10,6 +10,18 @@ body does not mention the stratum's predicates are applied exactly once
 ("rule application order" optimization).  A ``naive=True`` switch disables
 incrementalization for the ablation benchmark.
 
+One stratum loop (:meth:`Solver._fixpoint`) serves three entry points.
+:meth:`Solver.solve` runs every stratum from its current state;
+:meth:`Solver.solve_incremental` skips, continues semi-naively or
+recomputes each stratum after an input edit; :meth:`Solver.solve_demand`
+adds magic seeds and pushes them the same way, resuming at the first
+stratum a previous call left unfinished.  The fault contract follows:
+after an exception, ``last_completed_stratum`` names the last stratum
+that completed.  The next :meth:`Solver.solve` finishes a grow-only
+incremental call (no removals, no negation over a changed relation),
+and the next demand call finishes a demand call; an edit with removals
+that faults cannot be resumed, so its caller rebuilds the solver.
+
 Since the plan-IR refactor the solver is an *executor*: rules are lowered
 to the register op programs of :mod:`repro.datalog.plan`, the optimizer
 passes of :mod:`repro.datalog.passes` rewrite them (attribute assignment,
@@ -191,19 +203,18 @@ class Solver:
             i: RuleProfile(rule=str(rule))
             for i, rule in enumerate(program.rules)
         }
+        self._rule_index = {id(rule): i for i, rule in enumerate(program.rules)}
         self._rule_of_plan: Dict[int, int] = {}
         for (rule_idx, _variant), plan in self._plans.items():
             self._rule_of_plan[id(plan)] = rule_idx
-        self._solved = False
         self._watchdog: Optional[Watchdog] = None
-        # External delta nodes solve_incremental must keep alive (and
-        # remapped) across garbage collections.
+        # Nodes held outside the relations that a stratum update must
+        # keep alive (and remapped) across garbage collections.
         self._gc_protect: Optional[List[int]] = None
-        # Resume bookkeeping: index of the last stratum that reached
-        # fixpoint, and the one executing when a budget fault fired.
+        # Progress: index of the last stratum that reached fixpoint, and
+        # the one executing when a fault fired.
         self.last_completed_stratum = -1
         self._current_stratum: Optional[Stratum] = None
-        self._current_stratum_index: Optional[int] = None
 
     # ------------------------------------------------------------------
     # Setup helpers
@@ -308,7 +319,7 @@ class Solver:
         return value
 
     # ------------------------------------------------------------------
-    # Evaluation
+    # Evaluation: one stratum loop, three entry points
     # ------------------------------------------------------------------
 
     def solve(self, start_stratum: int = 0) -> SolveStats:
@@ -323,78 +334,7 @@ class Solver:
         as :class:`ReproError` subclasses carrying the partial statistics
         and the stratum that was executing.
         """
-        start = time.monotonic()
-        strata = self._strata
-        self.stats.strata = len(strata)
-        rule_index = {id(rule): i for i, rule in enumerate(self.program.rules)}
-        self.last_completed_stratum = start_stratum - 1
-        if self.budget is not None:
-            self._watchdog = Watchdog(self.budget, self.manager)
-            self.manager.set_watchdog(
-                self._watchdog.check, stride=self._watchdog.stride
-            )
-        try:
-            for index, stratum in enumerate(strata):
-                if index < start_stratum:
-                    continue
-                self._current_stratum = stratum
-                self._current_stratum_index = index
-                if faults.armed:
-                    faults.fire("solver.stratum")
-                if stratum.rules:
-                    self._run_stratum(stratum, rule_index)
-                self.last_completed_stratum = index
-        except ReproError as err:
-            self.stats.seconds = time.monotonic() - start
-            self._record_manager_stats()
-            if err.stats is None:
-                err.stats = self.stats
-            if err.completed_strata is None:
-                err.completed_strata = self.last_completed_stratum + 1
-            if err.stratum is None and self._current_stratum is not None:
-                err.stratum = sorted(self._current_stratum.predicates)
-            raise
-        finally:
-            self.manager.clear_watchdog()
-            self._watchdog = None
-            self._current_stratum = None
-            self._current_stratum_index = None
-        self.stats.seconds = time.monotonic() - start
-        self._record_manager_stats()
-        self._solved = True
-        return self.stats
-
-    def _run_stratum(self, stratum: Stratum, rule_index: Dict[int, int]) -> None:
-        """Evaluate one stratum from its current relation state."""
-        recursive = set(map(id, stratum.recursive_rules))
-        once_rules = [r for r in stratum.rules if id(r) not in recursive]
-        # Rules with no recursive dependency run exactly once.
-        for rule in once_rules:
-            plan = self._plans[(rule_index[id(rule)], None)]
-            self._apply_plan(plan, None)
-        if stratum.recursive_rules:
-            if self.naive:
-                self._solve_stratum_naive(stratum, rule_index)
-            else:
-                self._solve_stratum_seminaive(stratum, rule_index)
-
-    def dependents(self, changed: Iterable[str]) -> Set[str]:
-        """Transitive closure of ``changed`` under body -> head rule edges
-        (both positive and negated occurrences propagate influence)."""
-        out = set(changed)
-        grew = True
-        while grew:
-            grew = False
-            for rule in self.program.rules:
-                head = rule.head.relation
-                if head in out:
-                    continue
-                for atom in rule.positive_atoms + rule.negative_atoms:
-                    if atom.relation in out:
-                        out.add(head)
-                        grew = True
-                        break
-        return out
+        return self._fixpoint({}, (), start_stratum)
 
     def solve_incremental(
         self, added: Dict[str, int], dirty: Iterable[str] = ()
@@ -405,107 +345,10 @@ class Solver:
         previous fixpoint, except the edited inputs, which already hold
         their **new** values.  ``added[name]`` is the BDD of tuples newly
         added to input ``name``; names in ``dirty`` are inputs that may
-        have *lost* tuples.
-
-        Strata are processed in order.  A stratum none of whose rules read
-        a changed relation is skipped — its previous values are already
-        the fixpoint.  A stratum whose changed dependencies are all
-        grow-only and read through positive atoms is continued
-        *semi-naively*: the pending deltas are pushed through the delta
-        rule variants (sound and complete because the previous fixpoint is
-        a model of the previous inputs, so every genuinely new derivation
-        must involve at least one added tuple).  A stratum that reads a
-        shrunk relation, or negates a changed one, cannot be patched
-        monotonically: its derived relations are reset and the stratum is
-        recomputed from the (settled) lower strata — recompute-from-support
-        scoped to the affected strata, never the whole program.
+        have *lost* tuples.  Each stratum is skipped, continued
+        semi-naively or recomputed (see :meth:`_fixpoint`).
         """
-        start = time.monotonic()
-        m = self.manager
-        pending: Dict[str, int] = {
-            name: node for name, node in added.items() if node != FALSE
-        }
-        shrunk: Set[str] = set(dirty)
-        rule_index = {id(rule): i for i, rule in enumerate(self.program.rules)}
-        self.stats.strata = len(self._strata)
-        if self.budget is not None:
-            self._watchdog = Watchdog(self.budget, self.manager)
-            self.manager.set_watchdog(
-                self._watchdog.check, stride=self._watchdog.stride
-            )
-        try:
-            for index, stratum in enumerate(self._strata):
-                if not stratum.rules:
-                    continue
-                self._current_stratum = stratum
-                self._current_stratum_index = index
-                if faults.armed:
-                    faults.fire("solver.stratum")
-                changed = set(pending) | shrunk
-                reads_shrunk = False
-                reads_grown = False
-                negates_changed = False
-                # An *externally* grown stratum-internal predicate (an
-                # input with rules — magic-rewritten programs seed their
-                # recursive magic relations this way) restarts this
-                # stratum's own semi-naive loop from that delta.
-                grows_internal = any(p in pending for p in stratum.predicates)
-                for rule in stratum.rules:
-                    for atom in rule.positive_atoms:
-                        name = atom.relation
-                        if name in stratum.predicates:
-                            continue
-                        if name in shrunk:
-                            reads_shrunk = True
-                        if name in pending:
-                            reads_grown = True
-                    for atom in rule.negative_atoms:
-                        if atom.relation in changed:
-                            negates_changed = True
-                if not (
-                    reads_shrunk or reads_grown or negates_changed
-                    or grows_internal
-                ):
-                    self.last_completed_stratum = index
-                    continue
-                before = {
-                    p: self.relations[p].node for p in stratum.predicates
-                }
-                if reads_shrunk or negates_changed:
-                    # Non-monotone dependency: recompute the stratum from
-                    # the settled lower strata.
-                    for pred in stratum.predicates:
-                        self.relations[pred].clear()
-                    self._run_stratum(stratum, rule_index)
-                else:
-                    self._push_deltas(stratum, rule_index, pending)
-                for pred in stratum.predicates:
-                    node = self.relations[pred].node
-                    grown = m.diff(node, before[pred])
-                    if grown != FALSE:
-                        pending[pred] = m.or_(pending.get(pred, FALSE), grown)
-                    if m.diff(before[pred], node) != FALSE:
-                        shrunk.add(pred)
-                self.last_completed_stratum = index
-        except ReproError as err:
-            self.stats.seconds += time.monotonic() - start
-            self._record_manager_stats()
-            if err.stats is None:
-                err.stats = self.stats
-            if err.completed_strata is None:
-                err.completed_strata = self.last_completed_stratum + 1
-            if err.stratum is None and self._current_stratum is not None:
-                err.stratum = sorted(self._current_stratum.predicates)
-            raise
-        finally:
-            self.manager.clear_watchdog()
-            self._watchdog = None
-            self._current_stratum = None
-            self._current_stratum_index = None
-        self.stats.seconds += time.monotonic() - start
-        self._record_manager_stats()
-        self._solved = True
-        return self.stats
+        return self._fixpoint(added, dirty, len(self._strata))
 
     def solve_demand(
         self,
@@ -517,17 +360,17 @@ class Solver:
         ``seeds`` maps magic input relations (see
         :mod:`repro.datalog.magic`) to the query-constant tuples that
         should be added to them.  The first call runs a full — but
-        goal-restricted — :meth:`solve`; later calls push only the *new*
-        seed tuples through the delta rule variants
-        (:meth:`solve_incremental`), so previously derived sub-relations
-        are reused verbatim: the solver itself is the warm cache.
+        goal-restricted — solve; later calls push only the *new* seed
+        tuples through the delta rule variants, so previously derived
+        sub-relations are reused verbatim: the solver itself is the warm
+        cache.
 
         ``budget`` temporarily overrides the solver budget for this call
-        (the per-query :class:`ResourceBudget` of the serve engine).  On
-        a budget fault the solver is left resumable: relations hold a
-        monotone partial state and ``_solved`` is cleared, so the next
-        call re-runs the (goal-restricted) fixpoint from where it
-        stopped instead of trusting a half-pushed delta.
+        (the per-query :class:`ResourceBudget` of the serve engine).  Any
+        exception leaves the solver resumable: relations hold a monotone
+        partial state, and the next call pushes its new seeds through the
+        strata up to :attr:`last_completed_stratum` and runs every later
+        stratum from its current state.
         """
         m = self.manager
         added: Dict[str, int] = {}
@@ -546,31 +389,158 @@ class Solver:
         if budget is not None:
             self.budget = budget
         try:
-            if not self._solved:
-                # Also covers resumption after a mid-solve budget fault:
-                # semi-naive restart with full deltas from the partial
-                # (monotone) state is sound.
-                return self.solve()
-            if added:
-                try:
-                    return self.solve_incremental(added)
-                except ReproError:
-                    # The delta push may have committed derivations whose
-                    # consequences were never propagated; replaying the
-                    # same deltas would miss them.  Fall back to a full
-                    # goal-restricted re-solve on the next attempt.
-                    self._solved = False
-                    raise
-            return self.stats
+            return self._fixpoint(added, (), self.last_completed_stratum + 1)
         finally:
             self.budget = previous_budget
 
-    def _push_deltas(
+    @property
+    def at_fixpoint(self) -> bool:
+        """Whether every stratum completed in the last solve call."""
+        return self.last_completed_stratum + 1 >= len(self._strata)
+
+    def _fixpoint(
+        self, added: Dict[str, int], dirty: Iterable[str], resume: int
+    ) -> SolveStats:
+        """The stratum loop behind every entry point.
+
+        Strata before ``resume`` hold their fixpoint for the relation
+        state before the call, edited inputs aside (``added``: BDDs of
+        new tuples; ``dirty``: relations that may have lost tuples).
+        Each is
+
+        * skipped when none of its rules reads a changed relation;
+        * continued semi-naively from the pending deltas when its changed
+          dependencies all grew and are read through positive atoms —
+          sound and complete because the old fixpoint is a model of the
+          old inputs, so every new derivation involves an added tuple;
+        * cleared and recomputed from the settled lower strata when it
+          reads a shrunk relation or negates a changed one.
+
+        ``resume`` and every later stratum run from their current state,
+        which needs no change tracking: nothing after them reads it.
+
+        ``last_completed_stratum`` advances as strata finish, so after any
+        exception it names the last stratum that completed.
+        """
+        start = time.monotonic()
+        pending: Dict[str, int] = {
+            name: node for name, node in added.items() if node != FALSE
+        }
+        shrunk: Set[str] = set(dirty)
+        self.stats.strata = len(self._strata)
+        self.last_completed_stratum = -1
+        if self.budget is not None:
+            self._watchdog = Watchdog(self.budget, self.manager)
+            self.manager.set_watchdog(
+                self._watchdog.check, stride=self._watchdog.stride
+            )
+        try:
+            for index, stratum in enumerate(self._strata):
+                if index >= resume:
+                    action: Optional[str] = "run"
+                else:
+                    action = self._stratum_action(stratum, pending, shrunk)
+                if action is not None:
+                    self._current_stratum = stratum
+                    if faults.armed:
+                        faults.fire("solver.stratum")
+                    if action == "run":
+                        self._run_stratum(stratum)
+                    else:
+                        self._update_stratum(stratum, action, pending, shrunk)
+                self.last_completed_stratum = index
+        except ReproError as err:
+            if err.stats is None:
+                err.stats = self.stats
+            if err.completed_strata is None:
+                err.completed_strata = self.last_completed_stratum + 1
+            if err.stratum is None and self._current_stratum is not None:
+                err.stratum = sorted(self._current_stratum.predicates)
+            raise
+        finally:
+            self.manager.clear_watchdog()
+            self._watchdog = None
+            self._current_stratum = None
+            self.stats.seconds += time.monotonic() - start
+            self._record_manager_stats()
+        return self.stats
+
+    @staticmethod
+    def _stratum_action(
+        stratum: Stratum, pending: Dict[str, int], shrunk: Set[str]
+    ) -> Optional[str]:
+        """``None`` (skip), ``"push"`` or ``"recompute"`` for a stratum at
+        fixpoint, given the relations that grew and shrank below it.  An
+        externally grown stratum predicate (an input with rules — magic
+        programs seed their recursive magic relations this way) restarts
+        the stratum's own semi-naive loop from that delta."""
+        if not stratum.rules:
+            return None
+        push = any(p in pending for p in stratum.predicates)
+        for rule in stratum.rules:
+            for atom in rule.positive_atoms:
+                if atom.relation in stratum.predicates:
+                    continue
+                if atom.relation in shrunk:
+                    return "recompute"
+                push = push or atom.relation in pending
+            for atom in rule.negative_atoms:
+                if atom.relation in pending or atom.relation in shrunk:
+                    return "recompute"
+        return "push" if push else None
+
+    def _update_stratum(
         self,
         stratum: Stratum,
-        rule_index: Dict[int, int],
+        action: str,
         pending: Dict[str, int],
+        shrunk: Set[str],
     ) -> None:
+        """Push the pending deltas through a stratum at fixpoint, or
+        recompute it, then record which of its relations grew (their new
+        tuples join ``pending``) and which shrank (into ``shrunk``)."""
+        m = self.manager
+        preds = list(stratum.predicates)
+        names = list(pending)
+        # The pending deltas and the old values must stay alive (and be
+        # remapped) across any garbage collection the fixpoint runs.
+        guard = [pending[n] for n in names]
+        guard += [self.relations[p].node for p in preds]
+        self._gc_protect = guard
+        try:
+            if action == "recompute":
+                for pred in preds:
+                    self.relations[pred].clear()
+                self._run_stratum(stratum)
+            else:
+                self._push_deltas(stratum, pending)
+        finally:
+            self._gc_protect = None
+        pending.update(zip(names, guard))
+        before = dict(zip(preds, guard[len(names):]))
+        for pred in preds:
+            node = self.relations[pred].node
+            grown = m.diff(node, before[pred])
+            if grown != FALSE:
+                pending[pred] = m.or_(pending.get(pred, FALSE), grown)
+            if m.diff(before[pred], node) != FALSE:
+                shrunk.add(pred)
+
+    def _run_stratum(self, stratum: Stratum) -> None:
+        """Evaluate one stratum from its current relation state."""
+        recursive = set(map(id, stratum.recursive_rules))
+        # Rules with no recursive dependency run exactly once.
+        for rule in stratum.rules:
+            if id(rule) not in recursive:
+                plan = self._plans[(self._rule_index[id(rule)], None)]
+                self._apply_plan(plan, None)
+        if stratum.recursive_rules:
+            if self.naive:
+                self._solve_stratum_naive(stratum)
+            else:
+                self._solve_stratum_seminaive(stratum)
+
+    def _push_deltas(self, stratum: Stratum, pending: Dict[str, int]) -> None:
         """Seed a stratum's semi-naive loop from external deltas.
 
         Every rule variant whose delta atom is a changed *non-stratum*
@@ -583,7 +553,7 @@ class Solver:
         m = self.manager
         init: Dict[str, int] = {p: FALSE for p in stratum.predicates}
         for rule in stratum.rules:
-            ridx = rule_index[id(rule)]
+            ridx = self._rule_index[id(rule)]
             for atom_pos, atom in enumerate(rule.positive_atoms):
                 name = atom.relation
                 if name in stratum.predicates or name not in pending:
@@ -610,20 +580,9 @@ class Solver:
             deltas[pred] = delta
         if progressed and stratum.recursive_rules:
             if self.naive:
-                self._solve_stratum_naive(stratum, rule_index)
+                self._solve_stratum_naive(stratum)
             else:
-                # Protect the caller's pending deltas across any GC the
-                # fixpoint loop triggers.
-                keys = list(pending)
-                guard = [pending[k] for k in keys]
-                self._gc_protect = guard
-                try:
-                    self._solve_stratum_seminaive(
-                        stratum, rule_index, seed_deltas=deltas
-                    )
-                finally:
-                    self._gc_protect = None
-                pending.update(zip(keys, guard))
+                self._solve_stratum_seminaive(stratum, seed_deltas=deltas)
 
     def _record_manager_stats(self) -> None:
         m = self.manager
@@ -651,10 +610,7 @@ class Solver:
         )
 
     def _solve_stratum_seminaive(
-        self,
-        stratum: Stratum,
-        rule_index: Dict[int, int],
-        seed_deltas: Optional[Dict[str, int]] = None,
+        self, stratum: Stratum, seed_deltas: Optional[Dict[str, int]] = None
     ) -> None:
         m = self.manager
         deltas: Dict[str, int] = {}
@@ -690,7 +646,7 @@ class Solver:
                         shared[slot.slot] = self.relations[slot.relation].node
             contributions: Dict[str, int] = {p: FALSE for p in stratum.predicates}
             for rule in stratum.recursive_rules:
-                ridx = rule_index[id(rule)]
+                ridx = self._rule_index[id(rule)]
                 for atom_pos, atom in enumerate(rule.positive_atoms):
                     if atom.relation not in stratum.predicates:
                         continue
@@ -722,7 +678,7 @@ class Solver:
                 self.manager.clear_caches()
         raise self._iteration_limit_error(stratum, limit)
 
-    def _solve_stratum_naive(self, stratum: Stratum, rule_index: Dict[int, int]) -> None:
+    def _solve_stratum_naive(self, stratum: Stratum) -> None:
         """Reference evaluation without incrementalization (ablation)."""
         limit = self._iteration_limit()
         for iteration in range(limit):
@@ -731,7 +687,7 @@ class Solver:
                 self._watchdog.check()
             progressed = False
             for rule in stratum.recursive_rules:
-                plan = self._plans[(rule_index[id(rule)], None)]
+                plan = self._plans[(self._rule_index[id(rule)], None)]
                 delta = self._apply_plan(plan, None)
                 if delta != FALSE:
                     progressed = True

@@ -204,7 +204,7 @@ class DemandEvaluator:
             fresh = [t for t in tuples if t not in seen]
             if fresh:
                 magic_seeds.setdefault(info.magic, []).extend(fresh)
-        if not magic_seeds and self.solver._solved:
+        if not magic_seeds and self.solver.at_fixpoint:
             return
         start = time.monotonic()
         try:

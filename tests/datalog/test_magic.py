@@ -1,10 +1,13 @@
 """Magic-sets rewriting: goal-directed answers must equal the exhaustive
 solve restricted to the goal bindings (the magic-sets theorem, checked)."""
 
+import itertools
+
 import pytest
 
 from repro.datalog import DatalogError, Solver, parse_program
 from repro.datalog.magic import magic_rewrite
+from repro.runtime import faults
 
 TC = """
 .domains
@@ -95,6 +98,31 @@ class TestTransitiveClosure:
         solver.solve_demand({info.magic: [(0,), (10,)]})
         assert solver.stats.rule_applications == applications
         assert applications > before
+
+    def test_exception_mid_push_then_requery(self):
+        # A fault that is not a budget error, raised while goal 10's seed
+        # is pushed, must not leave the solver claiming a fixpoint: the
+        # same query again finishes the push and answers in full.
+        full = full_solve(TC, {"edge": EDGES})
+        want = {t[1:] for t in full.relation("path").tuples() if t[0] == 10}
+        mp = magic_rewrite(parse_program(TC), [("path", "bf")])
+        info = mp.goal("path", "bf")
+        runs = itertools.product(["reference", "packed"], range(1, 6))
+        for backend, hit in runs:
+            solver = Solver(mp.program, backend=backend)
+            solver.add_tuples("edge", EDGES)
+            solver.solve_demand({info.magic: [(0,)]})
+            faults.arm(f"exception@solver.stratum#{hit}")
+            try:
+                with pytest.raises(faults.FaultError):
+                    solver.solve_demand({info.magic: [(10,)]})
+            finally:
+                faults.disarm()
+            assert not solver.at_fixpoint
+            solver.solve_demand({info.magic: [(10,)]})
+            assert solver.at_fixpoint
+            answer = solver.relation(info.answer)
+            assert set(answer.select(src=10).tuples()) == want, (backend, hit)
 
 
 SG = """

@@ -1,8 +1,12 @@
 """End-to-end tests for the Datalog-to-BDD solver."""
 
+import itertools
+from types import SimpleNamespace
+
 import pytest
 
 from repro.datalog import DatalogError, Solver, parse_program
+from repro.datalog import solver as solver_module
 
 
 def solve(text, facts, **kwargs):
@@ -342,6 +346,21 @@ class TestSolverInfra:
         assert solver.stats.rule_applications >= 2
         assert solver.stats.peak_nodes > 2
         assert solver.stats.peak_bytes == solver.stats.peak_nodes * 16
+
+    def test_seconds_accumulate_across_calls(self, monkeypatch):
+        # Like iterations and rule_applications, seconds is cumulative
+        # over every solve, solve_incremental and solve_demand call.
+        ticks = itertools.count()
+        clock = SimpleNamespace(monotonic=lambda: float(next(ticks)))
+        monkeypatch.setattr(solver_module, "time", clock)
+        solver = solve(TRANSITIVE_CLOSURE, {"edge": [(0, 1), (1, 2)]})
+        totals = [solver.stats.seconds]
+        solver.solve_incremental({})
+        totals.append(solver.stats.seconds)
+        solver.solve()
+        totals.append(solver.stats.seconds)
+        assert totals[0] > 0
+        assert totals[0] < totals[1] < totals[2]
 
     def test_relation_count(self):
         solver = solve(TRANSITIVE_CLOSURE, {"edge": [(0, 1), (1, 2), (2, 3)]})

@@ -159,9 +159,22 @@ class TestStratification:
         assert _tuples(solver, "missed") == {(0,)}
 
 
-class TestDependents:
-    def test_transitive_closure_of_influence(self):
-        solver = Solver(parse_program(UNREACHED))
-        assert solver.dependents(["edge"]) == {"edge", "path", "missed"}
-        assert solver.dependents(["mark"]) == {"mark", "missed"}
-        assert solver.dependents([]) == set()
+class TestGarbageCollection:
+    def test_changes_survive_collection_mid_stratum(self):
+        # gc_threshold=1 collects on every semi-naive iteration.  The old
+        # values and pending deltas the solver diffs after recomputing
+        # 'path' must survive the collections, or 'missed' is decided
+        # from dangling nodes.
+        chain = [(i, i + 1) for i in range(6)]
+        facts = {"edge": chain, "mark": [(6,)]}
+        solver = Solver(parse_program(UNREACHED), gc_threshold=1)
+        for name, tuples in facts.items():
+            solver.add_tuples(name, tuples)
+        solver.solve()
+        assert _tuples(solver, "missed") == set()
+        _remove(solver, "edge", [(2, 3)])
+        solver.solve_incremental({}, dirty=["edge"])
+        edges = chain[:2] + chain[3:]
+        fresh = _solver(UNREACHED, {"edge": edges, "mark": [(6,)]})
+        assert _tuples(solver, "path") == _tuples(fresh, "path")
+        assert _tuples(solver, "missed") == _tuples(fresh, "missed") == {(6,)}

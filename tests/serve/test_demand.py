@@ -15,7 +15,7 @@ import io
 import pytest
 
 from repro.ir import parse_program
-from repro.runtime import ResourceBudget, SolverTimeout
+from repro.runtime import ResourceBudget, SolverTimeout, faults
 from repro.serve import (
     DemandEvaluator,
     PointsToDatabase,
@@ -198,6 +198,32 @@ class TestTypedErrors:
         # a budget completes the fixpoint and answers.
         rel = ev.points_to(v)
         assert len(list(rel.tuples())) >= 1
+
+    def test_evaluator_exception_mid_push_then_requery(
+        self, restricted_db, full_db
+    ):
+        # Any exception, not only a budget fault, leaves the evaluator
+        # resumable: the same query afterwards gets the full answer.
+        uncovered = [
+            spec for spec in sorted(restricted_db.var_reps)
+            if not restricted_db.covers_variable(restricted_db.var_id(spec))
+        ]
+        first, second = uncovered[0], uncovered[-1]
+        v = restricted_db.var_id(second)
+        want = set(full_db.relation("vP").select(variable=v).tuples())
+        assert want
+        for hit in (1, 2, 3):
+            ev = DemandEvaluator(
+                restricted_db, backend=restricted_db.manager.backend_name
+            )
+            ev.points_to(restricted_db.var_id(first))
+            faults.arm(f"exception@solver.stratum#{hit}")
+            try:
+                with pytest.raises(faults.FaultError):
+                    ev.points_to(v)
+            finally:
+                faults.disarm()
+            assert set(ev.points_to(v).tuples()) == want, hit
 
 
 class TestNegativeCaching:
