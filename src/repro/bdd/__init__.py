@@ -3,8 +3,9 @@
 This is the substrate that replaces JavaBDD/BuDDy in the reproduction of
 Whaley & Lam (PLDI 2004).  The node-level surface is the narrow
 :class:`repro.bdd.api.BddKernel` interface with pluggable backends
-(``reference`` — the recursive original, ``packed`` — packed-int cache
-keys and iterative hot loops); construct kernels with
+(``packed`` — the default, packed-int cache keys and iterative hot
+loops; ``reference`` — the recursive original and semantics oracle);
+construct kernels with
 :func:`repro.bdd.api.create_kernel` or the ``--backend`` /
 ``REPRO_BDD_BACKEND`` plumbing documented in ``docs/kernel.md``.  See
 :mod:`repro.bdd.domain` for finite domains (including the paper's

@@ -16,7 +16,7 @@ reproduction:
   backend's internals.
 * :func:`create_kernel` — the factory every consumer calls.  Backend
   selection order: explicit ``backend=`` argument, then the
-  ``REPRO_BDD_BACKEND`` environment variable, then ``"reference"``.
+  ``REPRO_BDD_BACKEND`` environment variable, then ``"packed"``.
 
 Built-in backends
 -----------------
@@ -25,7 +25,7 @@ Built-in backends
     The original recursive implementation with per-operation dict caches
     (tuple keys).  Simple, obviously correct, and the semantics oracle
     for the differential harness.
-``packed``
+``packed`` (the default)
     The optimized backend: packed-integer cache keys (no tuple
     allocation on the hot path), one unified operation cache with
     clear-on-overflow, and iterative (explicit-stack) ``apply`` /
@@ -66,7 +66,7 @@ TRUE = 1
 #: Environment variable consulted when no explicit backend is requested.
 BACKEND_ENV_VAR = "REPRO_BDD_BACKEND"
 
-DEFAULT_BACKEND = "reference"
+DEFAULT_BACKEND = "packed"
 
 
 class BDDError(Exception):
@@ -347,7 +347,7 @@ def resolve_backend_name(backend: Optional[str] = None) -> str:
     """The backend name an explicit/env/default selection resolves to.
 
     ``backend=None`` falls back to ``$REPRO_BDD_BACKEND``, then to
-    ``"reference"``.  Unknown names raise :class:`BDDError` listing the
+    ``"packed"``.  Unknown names raise :class:`BDDError` listing the
     registered alternatives (typo-proofing for CLI/env selection).
     """
     if backend is None:
@@ -381,7 +381,7 @@ def create_kernel(
     """Build a kernel instance — the factory every consumer goes through.
 
     Selection order: the ``backend`` argument, then the
-    ``REPRO_BDD_BACKEND`` environment variable, then ``"reference"``.
+    ``REPRO_BDD_BACKEND`` environment variable, then ``"packed"``.
     """
     cls = get_backend_class(backend)
     return cls(num_vars=num_vars, cache_limit=cache_limit)

@@ -57,6 +57,8 @@ the stack form has no recursion at all.  ``not_``, ``ite``, and
 
 from __future__ import annotations
 
+import weakref
+from types import FunctionType
 from typing import Dict, List, Optional
 
 from ...runtime import faults
@@ -94,6 +96,22 @@ _OR = -2
 _RECURSION_SAFE_VARS = 300
 
 
+def _drop_closures(hot: Dict[object, object]) -> None:
+    """Empty ``hot`` and break each compiled recursion's self-reference.
+
+    A closure-form ``rec`` calls itself through its own closure cell, a
+    cycle that reference counting never frees, and that cycle holds the
+    node arrays, the unique table and the operation cache.  Each entry
+    point shares the ``rec`` cell, so emptying an entry's function-valued
+    cells releases all of it as soon as the last reference goes.
+    """
+    for entry in hot.values():
+        for cell in entry.__closure__:
+            if type(cell.cell_contents) is FunctionType:
+                cell.cell_contents = None
+    hot.clear()
+
+
 class PackedBDD(ReferenceBDD):
     """Optimized BDD arena: unified packed-key cache, depth-safe hot loops."""
 
@@ -127,7 +145,11 @@ class PackedBDD(ReferenceBDD):
         # the node arrays, unique table, and cache in cells, so it must
         # be dropped whenever those are rebound (GC) or the watchdog
         # stride changes — see ``_rebuild_unique`` / ``set_watchdog``.
+        # The closures reach the kernel only through a weak proxy, so no
+        # cycle runs through the kernel; the finalizer breaks the
+        # closures' own cycles when the kernel goes.
         self._hot: Dict[object, object] = {}
+        weakref.finalize(self, _drop_closures, self._hot).atexit = False
 
     # ------------------------------------------------------------------
     # Node primitives
@@ -137,7 +159,7 @@ class PackedBDD(ReferenceBDD):
         total = super().add_vars(count)
         if total > _MASK:
             raise BDDError(f"packed backend supports at most {_MASK} variables")
-        self._hot.clear()  # replace closures capture the variable bound
+        _drop_closures(self._hot)  # replace closures capture the variable bound
         return total
 
     def mk(self, var: int, low: int, high: int) -> int:
@@ -188,15 +210,13 @@ class PackedBDD(ReferenceBDD):
         }
         # GC rebinds the node arrays and the unique table; compiled
         # closures hold the old objects in cells and must be rebuilt.
-        self._hot.clear()
+        _drop_closures(self._hot)
 
     def set_watchdog(self, callback, stride: int = 2048) -> None:
+        old_stride = self._watchdog_stride
         super().set_watchdog(callback, stride)
-        self._hot.clear()  # closures capture the stride
-
-    def clear_watchdog(self) -> None:
-        super().clear_watchdog()
-        self._hot.clear()
+        if stride != old_stride:
+            _drop_closures(self._hot)  # closures capture the stride
 
     def _quant(self, vid: int, levels: frozenset, max_level: int) -> bytes:
         flags = self._quant_flags.get(vid)
@@ -294,6 +314,7 @@ class PackedBDD(ReferenceBDD):
         is_and = op == _OP_AND
         is_or = op == _OP_OR
         is_diff = op == _OP_DIFF
+        kernel = weakref.proxy(self)
         ops = 0
         tick = 0
         stride = self._watchdog_stride
@@ -420,10 +441,10 @@ class PackedBDD(ReferenceBDD):
                     tick += 1
                     if tick >= stride:
                         tick = 0
-                        self._watchdog_tick = 0
-                        self.op_count += ops
+                        kernel._watchdog_tick = 0
+                        kernel.op_count += ops
                         ops = 0
-                        self._mk_service()
+                        kernel._mk_service()
             cache[key] = r
             return r
 
@@ -433,15 +454,15 @@ class PackedBDD(ReferenceBDD):
             # commutative operands, and missed the cache.
             nonlocal ops, tick
             ops = 0
-            tick = self._watchdog_tick
+            tick = kernel._watchdog_tick
             try:
                 return rec(a, b, tag | (a << 27) | b)
             finally:
-                self.op_count += ops
-                self._watchdog_tick = tick
+                kernel.op_count += ops
+                kernel._watchdog_tick = tick
                 n = len(var)
-                if n > self.peak_nodes:
-                    self.peak_nodes = n
+                if n > kernel.peak_nodes:
+                    kernel.peak_nodes = n
 
         return entry
 
@@ -648,7 +669,7 @@ class PackedBDD(ReferenceBDD):
         unique_get = unique.get
         cache = self._op_cache
         cache_get = cache.get
-        not_ = self.not_
+        kernel = weakref.proxy(self)
         ops = 0
         tick = 0
         stride = self._watchdog_stride
@@ -664,11 +685,11 @@ class PackedBDD(ReferenceBDD):
             if g == 1 and h == 0:
                 return f
             if g == 0 and h == 1:
-                self._watchdog_tick = tick
-                self.op_count += ops
+                kernel._watchdog_tick = tick
+                kernel.op_count += ops
                 ops = 0
-                r = not_(f)
-                tick = self._watchdog_tick
+                r = kernel.not_(f)
+                tick = kernel._watchdog_tick
                 return r
             key = _TAG_ITE | (f << 54) | (g << 27) | h
             r = cache_get(key)
@@ -702,25 +723,25 @@ class PackedBDD(ReferenceBDD):
                     tick += 1
                     if tick >= stride:
                         tick = 0
-                        self._watchdog_tick = 0
-                        self.op_count += ops
+                        kernel._watchdog_tick = 0
+                        kernel.op_count += ops
                         ops = 0
-                        self._mk_service()
+                        kernel._mk_service()
             cache[key] = r
             return r
 
         def entry(f: int, g: int, h: int) -> int:
             nonlocal ops, tick
             ops = 0
-            tick = self._watchdog_tick
+            tick = kernel._watchdog_tick
             try:
                 return rec(f, g, h)
             finally:
-                self.op_count += ops
-                self._watchdog_tick = tick
+                kernel.op_count += ops
+                kernel._watchdog_tick = tick
                 n = len(var)
-                if n > self.peak_nodes:
-                    self.peak_nodes = n
+                if n > kernel.peak_nodes:
+                    kernel.peak_nodes = n
 
         return entry
 
@@ -858,6 +879,7 @@ class PackedBDD(ReferenceBDD):
         or_entry = self._hot.get(_OP_OR)
         if or_entry is None:
             or_entry = self._hot[_OP_OR] = self._make_apply(_OP_OR)
+        kernel = weakref.proxy(self)
         ops = 0
         tick = 0
         stride = self._watchdog_stride
@@ -895,11 +917,11 @@ class PackedBDD(ReferenceBDD):
                     okey = _TAG_OR | (lo << 27) | hi
                     r = cache_get(okey)
                     if r is None:
-                        self._watchdog_tick = tick
-                        self.op_count += ops
+                        kernel._watchdog_tick = tick
+                        kernel.op_count += ops
                         ops = 0
                         r = or_entry(lo, hi)
-                        tick = self._watchdog_tick
+                        tick = kernel._watchdog_tick
             elif lo == hi:
                 r = lo
             else:
@@ -916,10 +938,10 @@ class PackedBDD(ReferenceBDD):
                     tick += 1
                     if tick >= stride:
                         tick = 0
-                        self._watchdog_tick = 0
-                        self.op_count += ops
+                        kernel._watchdog_tick = 0
+                        kernel.op_count += ops
                         ops = 0
-                        self._mk_service()
+                        kernel._mk_service()
             cache[key] = r
             return r
 
@@ -932,15 +954,15 @@ class PackedBDD(ReferenceBDD):
             if r is not None:
                 return r
             ops = 0
-            tick = self._watchdog_tick
+            tick = kernel._watchdog_tick
             try:
                 return rec(u, key)
             finally:
-                self.op_count += ops
-                self._watchdog_tick = tick
+                kernel.op_count += ops
+                kernel._watchdog_tick = tick
                 n = len(var)
-                if n > self.peak_nodes:
-                    self.peak_nodes = n
+                if n > kernel.peak_nodes:
+                    kernel.peak_nodes = n
 
         return entry
 
@@ -1095,6 +1117,7 @@ class PackedBDD(ReferenceBDD):
         efn = self._hot.get(("e", vid))
         if efn is None:
             efn = self._hot[("e", vid)] = self._make_exist(vid, levels, max_level)
+        kernel = weakref.proxy(self)
         ops = 0
         tick = 0
         stride = self._watchdog_stride
@@ -1122,11 +1145,11 @@ class PackedBDD(ReferenceBDD):
                     akey = (a << 27) | b
                     r = cache_get(akey)
                     if r is None:
-                        self._watchdog_tick = tick
-                        self.op_count += ops
+                        kernel._watchdog_tick = tick
+                        kernel.op_count += ops
                         ops = 0
                         r = and_entry(a, b)
-                        tick = self._watchdog_tick
+                        tick = kernel._watchdog_tick
                 cache[key] = r
                 return r
             x = a0
@@ -1137,11 +1160,11 @@ class PackedBDD(ReferenceBDD):
                 if x == 1 and y == 1:
                     lo = 1
                 else:
-                    self._watchdog_tick = tick
-                    self.op_count += ops
+                    kernel._watchdog_tick = tick
+                    kernel.op_count += ops
                     ops = 0
                     lo = efn(y if x == 1 else x)
-                    tick = self._watchdog_tick
+                    tick = kernel._watchdog_tick
             else:
                 if x > y:
                     x, y = y, x
@@ -1157,11 +1180,11 @@ class PackedBDD(ReferenceBDD):
                 if x == 1 and y == 1:
                     hi = 1
                 else:
-                    self._watchdog_tick = tick
-                    self.op_count += ops
+                    kernel._watchdog_tick = tick
+                    kernel.op_count += ops
                     ops = 0
                     hi = efn(y if x == 1 else x)
-                    tick = self._watchdog_tick
+                    tick = kernel._watchdog_tick
             else:
                 if x > y:
                     x, y = y, x
@@ -1182,11 +1205,11 @@ class PackedBDD(ReferenceBDD):
                     okey = _TAG_OR | (lo << 27) | hi
                     r = cache_get(okey)
                     if r is None:
-                        self._watchdog_tick = tick
-                        self.op_count += ops
+                        kernel._watchdog_tick = tick
+                        kernel.op_count += ops
                         ops = 0
                         r = or_entry(lo, hi)
-                        tick = self._watchdog_tick
+                        tick = kernel._watchdog_tick
             elif lo == hi:
                 r = lo
             else:
@@ -1203,10 +1226,10 @@ class PackedBDD(ReferenceBDD):
                     tick += 1
                     if tick >= stride:
                         tick = 0
-                        self._watchdog_tick = 0
-                        self.op_count += ops
+                        kernel._watchdog_tick = 0
+                        kernel.op_count += ops
                         ops = 0
-                        self._mk_service()
+                        kernel._mk_service()
             cache[key] = r
             return r
 
@@ -1214,15 +1237,15 @@ class PackedBDD(ReferenceBDD):
             # Contract: operands internal, a <= b, cache missed.
             nonlocal ops, tick
             ops = 0
-            tick = self._watchdog_tick
+            tick = kernel._watchdog_tick
             try:
                 return rec(a, b, tag | (a << 27) | b)
             finally:
-                self.op_count += ops
-                self._watchdog_tick = tick
+                kernel.op_count += ops
+                kernel._watchdog_tick = tick
                 n = len(var)
-                if n > self.peak_nodes:
-                    self.peak_nodes = n
+                if n > kernel.peak_nodes:
+                    kernel.peak_nodes = n
 
         return entry
 
@@ -1397,8 +1420,7 @@ class PackedBDD(ReferenceBDD):
         cache_get = cache.get
         get_nv = mapping.get
         num_vars = self.num_vars
-        ite = self.ite
-        var_bdd = self.var_bdd
+        kernel = weakref.proxy(self)
         ops = 0
         tick = 0
         stride = self._watchdog_stride
@@ -1425,11 +1447,11 @@ class PackedBDD(ReferenceBDD):
                 if hi is None:
                     hi = rec(n1, ckey)
             if use_ite:
-                self._watchdog_tick = tick
-                self.op_count += ops
+                kernel._watchdog_tick = tick
+                kernel.op_count += ops
                 ops = 0
-                r = ite(var_bdd(nv), hi, lo)
-                tick = self._watchdog_tick
+                r = kernel.ite(kernel.var_bdd(nv), hi, lo)
+                tick = kernel._watchdog_tick
             elif lo == hi:
                 r = lo
             else:
@@ -1450,10 +1472,10 @@ class PackedBDD(ReferenceBDD):
                     tick += 1
                     if tick >= stride:
                         tick = 0
-                        self._watchdog_tick = 0
-                        self.op_count += ops
+                        kernel._watchdog_tick = 0
+                        kernel.op_count += ops
                         ops = 0
-                        self._mk_service()
+                        kernel._mk_service()
             cache[key] = r
             return r
 
@@ -1466,15 +1488,15 @@ class PackedBDD(ReferenceBDD):
             if r is not None:
                 return r
             ops = 0
-            tick = self._watchdog_tick
+            tick = kernel._watchdog_tick
             try:
                 return rec(u, key)
             finally:
-                self.op_count += ops
-                self._watchdog_tick = tick
+                kernel.op_count += ops
+                kernel._watchdog_tick = tick
                 n = len(var)
-                if n > self.peak_nodes:
-                    self.peak_nodes = n
+                if n > kernel.peak_nodes:
+                    kernel.peak_nodes = n
 
         return entry
 

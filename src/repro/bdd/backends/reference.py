@@ -577,38 +577,40 @@ class ReferenceBDD(BddKernel):
             missing = sorted(sup - set(index))
             raise BDDError(f"sat_count levels missing support levels {missing}")
         vid = self.varset(order)
-        cache = self._satcount_cache
-
-        def count(node: int) -> int:
-            # Returns count over variables *below* (and including) node's level,
-            # normalized to the node's own level position.
-            if node == FALSE:
-                return 0
-            if node == TRUE:
-                return 1 << 0  # weight handled by caller via gap scaling
-            key = (vid, node)
-            cached = cache.get(key)
-            if cached is not None:
-                return cached
-            v = index[self._var[node]]
-            lo, hi = self._low[node], self._high[node]
-            lo_count = count(lo) << _gap(v, lo)
-            hi_count = count(hi) << _gap(v, hi)
-            result = lo_count + hi_count
-            cache[key] = result
-            return result
-
-        def _gap(parent_pos: int, child: int) -> int:
-            if child < 2:
-                return n - parent_pos - 1
-            return index[self._var[child]] - parent_pos - 1
-
         if u == FALSE:
             return 0
         if u == TRUE:
             return 1 << n
-        top = index[self._var[u]]
-        return count(u) << top
+        var, low, high = self._var, self._low, self._high
+        cache = self._satcount_cache
+        # Post-order with an explicit stack.  ``cache[(vid, node)]``
+        # counts the assignments of the levels from ``node``'s own down,
+        # so a child's count is scaled by the levels skipped to reach it.
+        stack = [u]
+        while stack:
+            node = stack[-1]
+            lo, hi = low[node], high[node]
+            lo_count = lo if lo < 2 else cache.get((vid, lo))
+            hi_count = hi if hi < 2 else cache.get((vid, hi))
+            if lo_count is None or hi_count is None:
+                if hi_count is None:
+                    stack.append(hi)
+                if lo_count is None:
+                    stack.append(lo)
+                continue
+            stack.pop()
+            pos = index[var[node]]
+            lo_pos = n if lo < 2 else index[var[lo]]
+            hi_pos = n if hi < 2 else index[var[hi]]
+            cache[(vid, node)] = (lo_count << (lo_pos - pos - 1)) + (
+                hi_count << (hi_pos - pos - 1)
+            )
+        return cache[(vid, u)] << index[var[u]]
+
+    # The cold paths are loops or methods, never closures that call
+    # themselves: such a closure is a reference cycle, and one that also
+    # captures ``self`` keeps the whole kernel alive until the next
+    # cyclic garbage collection.
 
     def iter_assignments(self, u: int, levels: Sequence[int]) -> Iterator[Tuple[int, ...]]:
         """Yield all satisfying assignments as bit tuples over ``levels``.
@@ -625,46 +627,52 @@ class ReferenceBDD(BddKernel):
             missing = sorted(sup - set(index))
             raise BDDError(f"iter_assignments missing support levels {missing}")
         out_positions = [index[lv] for lv in levels]
-
-        def walk(node: int, pos: int, bits: List[int]) -> Iterator[Tuple[int, ...]]:
-            if pos == n:
-                if node == TRUE:
-                    yield tuple(bits[p] for p in out_positions)
-                return
+        var, low, high = self._var, self._low, self._high
+        # Depth-first with an explicit stack, low branch first.  A frame
+        # ``(node, pos, bit)`` is reached with ``bits[pos - 1] = bit``;
+        # ``bits[:pos - 1]`` still holds its path, because the frames
+        # popped before it only wrote positions at or after ``pos - 1``.
+        bits = [0] * n
+        stack = [(u, 0, 0)]
+        while stack:
+            node, pos, bit = stack.pop()
+            if pos:
+                bits[pos - 1] = bit
             if node == FALSE:
-                return
-            level = order[pos]
-            if node != TRUE and self._var[node] == level:
-                branches = ((0, self._low[node]), (1, self._high[node]))
+                continue
+            if pos == n:
+                yield tuple(bits[p] for p in out_positions)
+            elif node != TRUE and var[node] == order[pos]:
+                stack.append((high[node], pos + 1, 1))
+                stack.append((low[node], pos + 1, 0))
             else:
-                branches = ((0, node), (1, node))
-            for bit, child in branches:
-                bits[pos] = bit
-                yield from walk(child, pos + 1, bits)
-
-        yield from walk(u, 0, [0] * n)
+                stack.append((node, pos + 1, 1))
+                stack.append((node, pos + 1, 0))
 
     def restrict(self, u: int, assignment: Dict[int, bool]) -> int:
         """Cofactor ``u`` by fixing the given levels to constants."""
         if not assignment:
             return u
-        cache: Dict[int, int] = {}
+        return self._restrict(u, assignment, {})
 
-        def rec(node: int) -> int:
-            if node < 2:
-                return node
-            cached = cache.get(node)
-            if cached is not None:
-                return cached
-            v = self._var[node]
-            if v in assignment:
-                result = rec(self._high[node] if assignment[v] else self._low[node])
-            else:
-                result = self.mk(v, rec(self._low[node]), rec(self._high[node]))
-            cache[node] = result
-            return result
-
-        return rec(u)
+    def _restrict(self, node: int, assignment: Dict[int, bool], cache: Dict[int, int]) -> int:
+        if node < 2:
+            return node
+        cached = cache.get(node)
+        if cached is not None:
+            return cached
+        v = self._var[node]
+        if v in assignment:
+            child = self._high[node] if assignment[v] else self._low[node]
+            result = self._restrict(child, assignment, cache)
+        else:
+            result = self.mk(
+                v,
+                self._restrict(self._low[node], assignment, cache),
+                self._restrict(self._high[node], assignment, cache),
+            )
+        cache[node] = result
+        return result
 
     # ------------------------------------------------------------------
     # Garbage collection

@@ -862,7 +862,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--backend", metavar="NAME",
         help="BDD kernel backend (default: $REPRO_BDD_BACKEND or "
-        "'reference'); see repro.bdd.api.available_backends",
+        "'packed'); see repro.bdd.api.available_backends",
     )
     args = parser.parse_args(argv)
     out = pathlib.Path(args.out)

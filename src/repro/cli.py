@@ -835,7 +835,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--backend", metavar="NAME",
             help="BDD kernel backend: reference or packed (default: "
-            "$REPRO_BDD_BACKEND or 'reference')",
+            "$REPRO_BDD_BACKEND or 'packed')",
         )
         p.add_argument(
             "--timeout", type=float, metavar="SECONDS",
@@ -1122,7 +1122,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--backend", metavar="NAME",
         help="BDD kernel backend: reference or packed (default: "
-        "$REPRO_BDD_BACKEND or 'reference')",
+        "$REPRO_BDD_BACKEND or 'packed')",
     )
     p_serve.set_defaults(func=_cmd_serve)
     return parser

@@ -123,13 +123,6 @@ class QueryEngine:
         self._eval_lock = threading.Lock()
         self._inflight: Dict[tuple, _InFlight] = {}
         self._inflight_lock = threading.Lock()
-        self._evaluators = {
-            "points-to": self._eval_points_to,
-            "aliases": self._eval_aliases,
-            "mod-ref": self._eval_mod_ref,
-            "callers": self._eval_callers,
-            "escape": self._eval_escape,
-        }
         self._callers_index: Optional[Dict[int, List[int]]] = None
 
     # ------------------------------------------------------------------
@@ -159,8 +152,7 @@ class QueryEngine:
         """
         start = time.monotonic()
         args = dict(args or {})
-        evaluator = self._evaluators.get(kind)
-        if evaluator is None:
+        if kind not in QUERY_KINDS:
             self.metrics.observe_query(
                 str(kind), time.monotonic() - start,
                 cache_hit=False, computed=False, error=True,
@@ -223,7 +215,7 @@ class QueryEngine:
             budget, deadline_bound = self._budget_for(timeout, deadline)
             try:
                 with self._eval_lock:
-                    result = self._evaluate(evaluator, args, budget)
+                    result = self._evaluate(kind, args, budget)
             except SolverTimeout as err:
                 if deadline_bound:
                     raise QueryError(
@@ -523,7 +515,11 @@ class QueryEngine:
             return None, False
         return ResourceBudget(timeout=float(timeout)).start(), False
 
-    def _evaluate(self, evaluator, args, budget) -> Dict[str, Any]:
+    def _evaluate(self, kind: str, args, budget) -> Dict[str, Any]:
+        # Looked up by name on each call: a table of bound methods on the
+        # engine would be a cycle through it, keeping a replaced epoch's
+        # database and demand kernels alive until a cyclic collection.
+        evaluator = getattr(self, "_eval_" + kind.replace("-", "_"))
         manager = self.db.manager
         if budget is not None:
             watchdog = Watchdog(budget, manager)

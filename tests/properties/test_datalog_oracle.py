@@ -13,10 +13,13 @@ must reproduce it:
   (the model of the edited facts is what a fresh solve computes);
 * :meth:`Solver.solve_demand` over the magic-rewritten program: every
   answer equals the full model projected onto the goal's bindings;
-* fault recovery: an injected ``exception@solver.stratum#k`` in the
+* fault recovery: an injected ``exception@solver.stratum#k``, or a
+  :class:`NodeBudgetExceeded` from a small ``node_budget``, in the
   middle of a demand call or of a grow-only incremental call, after
   which the next demand call with the same seeds, or the next
-  :meth:`Solver.solve`, reaches the model.
+  :meth:`Solver.solve`, reaches the model.  A node budget that small
+  also drops the watchdog stride, so the packed backend's compiled
+  recursions are rebuilt mid-sequence.
 
 Half the cases collect garbage on every semi-naive iteration, so every
 node the drivers hold across a stratum must survive a collection.
@@ -34,7 +37,7 @@ from hypothesis import given, settings, strategies as st
 from repro.bdd import FALSE
 from repro.datalog import Solver, parse_program
 from repro.datalog.magic import magic_rewrite
-from repro.runtime import faults
+from repro.runtime import NodeBudgetExceeded, ResourceBudget, faults
 
 # ----------------------------------------------------------------------
 # Programs: generator-side representation, rendered to source text
@@ -200,7 +203,10 @@ class Case:
     edits: List[Tuple[Dict[str, Set[tuple]], Dict[str, Set[tuple]]]]
     # Each goal: (predicate, adornment, full-arity binding).
     goals: List[Tuple[str, str, tuple]]
-    fault_hit: int
+    # The fault a resumption property injects: ("exception", k) raises
+    # at the k-th stratum; ("budget", n) runs the call under a node
+    # budget of n.
+    fault: Tuple[str, int]
     # Collect garbage on every semi-naive iteration (gc_threshold=1).
     collect: bool = False
 
@@ -234,8 +240,11 @@ def cases(draw) -> Case:
             draw(st.integers(0, program.domains[d] - 1)) for d in doms
         )
         goals.append((pred, adornment, binding))
-    return Case(program, facts, edits, goals, draw(st.integers(1, 8)),
-                draw(st.booleans()))
+    fault = draw(st.one_of(
+        st.tuples(st.just("exception"), st.integers(1, 8)),
+        st.tuples(st.just("budget"), st.integers(1, 400)),
+    ))
+    return Case(program, facts, edits, goals, fault, draw(st.booleans()))
 
 
 # ----------------------------------------------------------------------
@@ -479,10 +488,18 @@ def test_demand_matches_full_solve_on_goal(naive, backend, optimize, case):
             demand.check(earlier)
 
 
-def _fault_then(call, hit: int) -> None:
-    faults.arm(f"exception@solver.stratum#{hit}")
+def _fault_then(call, fault: Tuple[str, int]) -> None:
+    """Run ``call(budget)`` under the case's fault; it may fail."""
+    kind, n = fault
+    if kind == "budget":
+        try:
+            call(ResourceBudget(node_budget=n))
+        except NodeBudgetExceeded:
+            pass
+        return
+    faults.arm(f"exception@solver.stratum#{n}")
     try:
-        call()
+        call(None)
     except faults.FaultError:
         pass
     finally:
@@ -497,8 +514,10 @@ def test_demand_resumes_after_fault(naive, backend, optimize, case, faulted):
     for i, goal in enumerate(case.goals):
         seeds = demand.seeds(goal)
         if i == faulted:
-            _fault_then(lambda: demand.solver.solve_demand(seeds),
-                        case.fault_hit)
+            _fault_then(
+                lambda budget: demand.solver.solve_demand(seeds, budget),
+                case.fault,
+            )
         demand.solver.solve_demand(seeds)
         for earlier in case.goals[: i + 1]:
             demand.check(earlier)
@@ -519,7 +538,15 @@ def test_solve_resumes_after_grow_only_incremental_fault(
     removes = {rel: set() for rel in adds}
     added, dirty = apply_edit(solver, adds, removes)
     assert not dirty
-    _fault_then(lambda: solver.solve_incremental(added), case.fault_hit)
+
+    def grow(budget):
+        solver.budget = budget
+        try:
+            solver.solve_incremental(added)
+        finally:
+            solver.budget = None
+
+    _fault_then(grow, case.fault)
     solver.solve()
     want = model(program, edited(case.facts, adds, {}))
     assert_matches(solver, program, want)
@@ -548,7 +575,7 @@ def test_demand_fault_on_second_seed(naive, backend, optimize):
                _copy_rule("p10", "e0"), _copy_rule("p10", "p10")],
     )
     case = Case(program, {"e0": {(0,), (1,)}}, [],
-                [("p00", "b", (0,)), ("p00", "b", (1,))], fault_hit=1)
+                [("p00", "b", (0,)), ("p00", "b", (1,))], ("exception", 1))
     demand = Demand(case, naive, backend, optimize)
     first, second = case.goals
     demand.solver.solve_demand(demand.seeds(first))

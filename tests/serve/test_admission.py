@@ -47,9 +47,11 @@ def make_server(loaded_db):
         srv.shutdown(drain_timeout=2.0)
 
 
-def _fire_slow(server, release):
+def _fire_slow(server, release, monkeypatch):
     """Occupy one admission slot with a slow no-cache query."""
-    server.engine._evaluators["points-to"] = _slow_evaluator(10.0, release)
+    monkeypatch.setattr(
+        server.engine, "_eval_points_to", _slow_evaluator(10.0, release)
+    )
 
     def run():
         with PointsToClient(*server.address) as client:
@@ -70,11 +72,11 @@ def _fire_slow(server, release):
 
 
 class TestOverload:
-    def test_pending_limit_rejects_typed(self, make_server):
+    def test_pending_limit_rejects_typed(self, make_server, monkeypatch):
         server = make_server(max_pending=1, retry_after_ms=150)
         server.start()
         release = threading.Event()
-        _fire_slow(server, release)
+        _fire_slow(server, release, monkeypatch)
         try:
             with PointsToClient(*server.address) as client:
                 with pytest.raises(ServerError) as exc:
@@ -93,13 +95,13 @@ class TestOverload:
         finally:
             release.set()
 
-    def test_per_kind_cap(self, make_server):
+    def test_per_kind_cap(self, make_server, monkeypatch):
         server = make_server(
             max_pending=64, kind_limits={"points-to": 1}, retry_after_ms=100
         )
         server.start()
         release = threading.Event()
-        _fire_slow(server, release)
+        _fire_slow(server, release, monkeypatch)
         try:
             with PointsToClient(*server.address) as client:
                 # Same kind: capped.
@@ -123,11 +125,11 @@ class TestOverload:
                 )
             assert server.admission.pending == 0
 
-    def test_overload_counted_separately_from_errors(self, make_server):
+    def test_overload_counted_separately_from_errors(self, make_server, monkeypatch):
         server = make_server(max_pending=1)
         server.start()
         release = threading.Event()
-        _fire_slow(server, release)
+        _fire_slow(server, release, monkeypatch)
         try:
             with PointsToClient(*server.address) as client:
                 with pytest.raises(ServerError):
@@ -151,10 +153,10 @@ class TestDeadlines:
             assert exc.value.code == "deadline-exceeded"
             assert server.metrics.deadline_rejections == 1
 
-    def test_deadline_enforced_mid_query(self, make_server):
+    def test_deadline_enforced_mid_query(self, make_server, monkeypatch):
         server = make_server()
         server.start()
-        server.engine._evaluators["points-to"] = _slow_evaluator(0.25)
+        monkeypatch.setattr(server.engine, "_eval_points_to", _slow_evaluator(0.25))
         with PointsToClient(*server.address) as client:
             with pytest.raises(ServerError) as exc:
                 client.query(
@@ -174,13 +176,13 @@ class TestDeadlines:
             )
             assert result["count"] == 1
 
-    def test_deadline_vs_timeout_binding_constraint(self, make_server):
+    def test_deadline_vs_timeout_binding_constraint(self, make_server, monkeypatch):
         # A tight server timeout with a loose client deadline must still
         # report budget-exceeded (the timeout bound), not
         # deadline-exceeded — and vice versa.
         server = make_server()
         server.start()
-        server.engine._evaluators["points-to"] = _slow_evaluator(0.25)
+        monkeypatch.setattr(server.engine, "_eval_points_to", _slow_evaluator(0.25))
         with PointsToClient(*server.address) as client:
             with pytest.raises(ServerError) as exc:
                 client.query(
@@ -192,10 +194,10 @@ class TestDeadlines:
                 )
             assert exc.value.code == "budget-exceeded"
 
-    def test_batch_shares_connection_deadline(self, make_server):
+    def test_batch_shares_connection_deadline(self, make_server, monkeypatch):
         server = make_server()
         server.start()
-        server.engine._evaluators["points-to"] = _slow_evaluator(0.2)
+        monkeypatch.setattr(server.engine, "_eval_points_to", _slow_evaluator(0.2))
         with PointsToClient(*server.address) as client:
             results = client.batch(
                 [

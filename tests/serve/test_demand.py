@@ -227,7 +227,7 @@ class TestTypedErrors:
 
 
 class TestNegativeCaching:
-    def test_not_found_is_cached(self, full_db):
+    def test_not_found_is_cached(self, full_db, monkeypatch):
         engine = QueryEngine(full_db)
         with pytest.raises(QueryError) as exc:
             engine.query("points-to", {"variable": "No.where:x"})
@@ -237,7 +237,7 @@ class TestNegativeCaching:
         def boom(args, budget):
             raise AssertionError("negative result was not served from cache")
 
-        engine._evaluators["points-to"] = boom
+        monkeypatch.setattr(engine, "_eval_points_to", boom)
         with pytest.raises(QueryError) as exc:
             engine.query("points-to", {"variable": "No.where:x"})
         assert exc.value.code == "not-found"

@@ -160,15 +160,15 @@ class TestBudget:
 
 
 class TestInFlightDedup:
-    def test_concurrent_identical_queries_compute_once(self, loaded_db):
+    def test_concurrent_identical_queries_compute_once(self, loaded_db, monkeypatch):
         engine = QueryEngine(loaded_db)
-        original = engine._evaluators["points-to"]
+        original = engine._eval_points_to
 
         def slow(args, budget):
             time.sleep(0.3)
             return original(args, budget)
 
-        engine._evaluators["points-to"] = slow
+        monkeypatch.setattr(engine, "_eval_points_to", slow)
         results, errors = [], []
 
         def worker():
@@ -191,15 +191,13 @@ class TestInFlightDedup:
         assert snap["computes"] == 1
         assert snap["cache_hits"] == 7
 
-    def test_error_propagates_to_waiters(self, loaded_db):
+    def test_error_propagates_to_waiters(self, loaded_db, monkeypatch):
         engine = QueryEngine(loaded_db)
-        original = engine._evaluators["points-to"]
-
         def slow_fail(args, budget):
             time.sleep(0.3)
             raise QueryError("not-found", "synthetic failure")
 
-        engine._evaluators["points-to"] = slow_fail
+        monkeypatch.setattr(engine, "_eval_points_to", slow_fail)
         codes = []
 
         def worker():
@@ -216,5 +214,4 @@ class TestInFlightDedup:
             t.start()
         for t in threads:
             t.join(timeout=10)
-        engine._evaluators["points-to"] = original
         assert codes == ["not-found"] * 4

@@ -186,7 +186,7 @@ class TestResilientClient:
         finally:
             srv.shutdown(drain_timeout=2.0)
 
-    def test_honors_retry_after_on_overload(self, loaded_db):
+    def test_honors_retry_after_on_overload(self, loaded_db, monkeypatch):
         srv = PointsToServer(loaded_db, port=0, max_pending=1, retry_after_ms=70)
         srv.start()
         release = threading.Event()
@@ -195,7 +195,7 @@ class TestResilientClient:
             release.wait(10.0)
             return {"hog": True}
 
-        srv.engine._evaluators["points-to"] = hog
+        monkeypatch.setattr(srv.engine, "_eval_points_to", hog)
         occupier = threading.Thread(
             target=lambda: PointsToClient(*srv.address).query(
                 "points-to", {"variable": "Main.main:a"}, no_cache=True

@@ -193,17 +193,17 @@ class TestLimits:
 
 
 class TestConcurrency:
-    def test_concurrent_clients_one_compute(self, loaded_db):
+    def test_concurrent_clients_one_compute(self, loaded_db, monkeypatch):
         """N clients hammer the same query: one evaluator run, the rest
         are (engine or wire) cache hits."""
         srv = PointsToServer(loaded_db, port=0, log=io.StringIO())
-        original = srv.engine._evaluators["points-to"]
+        original = srv.engine._eval_points_to
 
         def slow(args, budget):
             time.sleep(0.3)
             return original(args, budget)
 
-        srv.engine._evaluators["points-to"] = slow
+        monkeypatch.setattr(srv.engine, "_eval_points_to", slow)
         srv.start()
         clients = 8
         results, errors = [], []
