@@ -1,8 +1,8 @@
 """Chaos-bench the serve layer: availability under injected faults.
 
-Where :mod:`repro.bench.serve_bench` measures how *fast* the server is,
-this harness measures how *available* it stays when things go wrong.
-Each scenario runs a real ``repro serve`` subprocess (faults armed via
+This harness measures how *available* the server stays when things go
+wrong; how *fast* it is, is perfbench's ``serve`` workload.  Each
+scenario runs a real ``repro serve`` subprocess (faults armed via
 ``REPRO_FAULT`` in the child's environment — see
 :mod:`repro.runtime.faults`) and drives it with circuit-breaker
 :class:`~repro.serve.ResilientClient` workers, tallying every call as a
@@ -29,8 +29,7 @@ Availability per scenario (and overall) is
 ``successes / (attempts - expected_rejections)`` — the serving SLO this
 repo's robustness work targets is >= 99% under every fault mix.
 
-Output: ``results/BENCH_chaos.json`` (same entry conventions as
-``BENCH_serve.json``).  Run as::
+Output: ``results/BENCH_chaos.json``.  Run as::
 
     python -m repro.bench.chaos_bench --duration 3
 """
@@ -43,19 +42,27 @@ import json
 import os
 import pathlib
 import random
+import re
+import socket
+import subprocess
 import sys
 import threading
 import time
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..runtime.errors import WorkerCrashed
-from ..serve import ResilientClient, ServerError, compile_database
+from ..serve import (
+    PointsToDatabase,
+    ResilientClient,
+    ServerError,
+    compile_database,
+)
 from ..serve.engine import QueryError
 from ..serve.metrics import percentile
+from ..serve.protocol import encode
 from ..serve.supervise import ServeSupervisor
 from .corpus import corpus_entry
 from .generator import generate_program
-from .serve_bench import _sample_queries, _ServerProcess
 
 __all__ = ["run_chaos_bench", "main"]
 
@@ -67,6 +74,87 @@ _DEFAULT_SWAPS = 100
 # Codes that mean "the server correctly refused work", not "the server
 # failed".  They are excluded from the availability denominator.
 _EXPECTED_REJECTIONS = ("overloaded", "deadline-exceeded")
+
+
+def _sample_queries(db: PointsToDatabase, count: int = 16) -> List[Dict[str, Any]]:
+    """A rotating pool of distinct demand queries drawn from the db."""
+    queries: List[Dict[str, Any]] = []
+    var_specs = sorted(db.var_reps)
+    methods = db.maps.get("M", [])
+    heaps = db.maps.get("H", [])
+    for spec in var_specs[: count // 2]:
+        queries.append({"kind": "points-to", "args": {"variable": spec}})
+    for name in methods[: count // 4]:
+        queries.append({"kind": "callers", "args": {"method": name}})
+    for name in heaps[: count // 4]:
+        queries.append({"kind": "escape", "args": {"heap": name}})
+    return queries or [{"kind": "escape", "args": {"heap": heaps[0]}}]
+
+
+class _ServerProcess:
+    """A ``repro serve`` subprocess on an ephemeral port.
+
+    ``extra_args`` extends the serve command line (admission limits,
+    retry hints); ``env_extra`` adds environment variables, which is how
+    a scenario arms ``REPRO_FAULT`` seams in the child.
+    """
+
+    def __init__(
+        self,
+        db_path: str,
+        *,
+        extra_args: Sequence[str] = (),
+        env_extra: Optional[Dict[str, str]] = None,
+    ) -> None:
+        env = dict(os.environ)
+        src_root = str(pathlib.Path(__file__).resolve().parents[2])
+        env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH", "")
+        if env_extra:
+            env.update(env_extra)
+        self.proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "serve",
+                "--db", db_path, "--port", "0",
+                "--cache-size", "4096",
+                "--max-connections", "64",
+                *extra_args,
+            ],
+            stderr=subprocess.PIPE,
+            env=env,
+            text=True,
+        )
+        assert self.proc.stderr is not None
+        line = self.proc.stderr.readline()
+        match = re.search(r"on ([\d.]+):(\d+)", line)
+        if not match:
+            self.proc.kill()
+            raise RuntimeError(f"server did not announce a port: {line!r}")
+        self.host, self.port = match.group(1), int(match.group(2))
+        # Drain stderr in the background so the server never blocks on a
+        # full pipe.
+        self._drain = threading.Thread(
+            target=self.proc.stderr.read, daemon=True
+        )
+        self._drain.start()
+
+    def stop(self) -> None:
+        try:
+            with socket.create_connection((self.host, self.port), timeout=5) as s:
+                s.sendall(encode({"id": 0, "verb": "shutdown"}))
+                s.recv(4096)
+        except OSError:
+            pass
+        try:
+            self.proc.wait(timeout=10)
+        except subprocess.TimeoutExpired:
+            self.proc.kill()
+            self.proc.wait(timeout=10)
+
+    def __enter__(self) -> "_ServerProcess":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.stop()
 
 
 class _Tally:
@@ -412,8 +500,6 @@ def run_chaos_bench(
     workdir = workdir or "."
     print(f"== chaos: compiling {entry} (+variant) ==", file=sys.stderr)
     db_path, alt_path, db_id = _build_databases(entry, workdir)
-    from ..serve import PointsToDatabase
-
     queries = _sample_queries(PointsToDatabase.load(db_path))
 
     scenarios = {}

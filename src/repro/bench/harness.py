@@ -10,15 +10,23 @@
   of reduced call paths (the O(log^2 n) observation of Section 6.2),
 * :func:`ablation_table` — the design-choice ablations called out in
   DESIGN.md (semi-naive evaluation, variable order, type filtering,
-  contiguous context numbering).
+  the plan optimizer, contiguous context numbering),
+* :func:`kcfa_table` — full call-path cloning against the 1-CFA
+  baseline,
+* :func:`precision_table` — points-to set sizes along the analysis
+  ladder.
 
 Each function returns ``(text, rows)``; the CLI (``python -m
 repro.bench.harness <figure>``) prints the text and writes it under
-``results/``.
+``results/``.  ``report`` collects every table and the paper's claims,
+checked by :mod:`repro.bench.report`.  Wall-clock columns are printed
+for reference only; no claim is judged on them (perfbench is the
+repository's timing benchmark).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
@@ -32,11 +40,12 @@ from ..analysis import (
     ContextSensitiveTypeAnalysis,
     ThreadEscapeAnalysis,
 )
+from ..analysis.compare import compare_precision, precision_stats
 from ..analysis.queries import refinement_stats
 from ..callgraph import cha_call_graph, number_call_graph
 from ..ir.facts import extract_facts
 from ..runtime import ReproError, ResourceBudget
-from .corpus import CORPUS, corpus_entry, corpus_names
+from .corpus import corpus_entry, corpus_names
 from .generator import WorkloadParams, generate_program
 
 __all__ = [
@@ -50,6 +59,8 @@ __all__ = [
     "fig6_table",
     "scaling_table",
     "ablation_table",
+    "kcfa_table",
+    "precision_table",
     "main",
 ]
 
@@ -573,6 +584,7 @@ def fig6_table(runs: Sequence[BenchmarkRun]) -> Tuple[str, List[dict]]:
 
 def scaling_table(
     layer_counts: Sequence[int] = (8, 14, 20, 26, 32, 38, 44),
+    backend: Optional[str] = None,
 ) -> Tuple[str, List[dict]]:
     """Context-sensitive analysis time vs number of call paths.
 
@@ -591,9 +603,9 @@ def scaling_table(
         )
         program = generate_program(params)
         facts = extract_facts(program)
-        ci = ContextInsensitiveAnalysis(facts=facts).run()
+        ci = ContextInsensitiveAnalysis(facts=facts, backend=backend).run()
         cs = ContextSensitiveAnalysis(
-            facts=facts, call_graph=ci.discovered_call_graph
+            facts=facts, call_graph=ci.discovered_call_graph, backend=backend
         ).run()
         paths = cs.max_paths()
         lg = math.log2(max(paths, 2))
@@ -619,17 +631,21 @@ def scaling_table(
 # ----------------------------------------------------------------------
 
 
-def ablation_table(name: str = "jboss") -> Tuple[str, List[dict]]:
+def ablation_table(
+    name: str = "jboss", backend: Optional[str] = None
+) -> Tuple[str, List[dict]]:
     """DESIGN.md section 6: the design-choice ablations."""
-    entry = corpus_entry(name)
-    program = entry.build()
-    facts = extract_facts(program)
+    facts = extract_facts(corpus_entry(name).build())
+    ci = functools.partial(
+        ContextInsensitiveAnalysis, facts=facts, backend=backend
+    )
+    cs = functools.partial(ContextSensitiveAnalysis, facts=facts, backend=backend)
     rows = []
     lines = [f"Ablations on corpus entry '{name}':"]
 
     # 1. Semi-naive vs naive evaluation (Section 2.4.1).
-    fast = ContextInsensitiveAnalysis(facts=facts).run()
-    slow = ContextInsensitiveAnalysis(facts=facts, naive=True).run()
+    fast = ci().run()
+    slow = ci(naive=True).run()
     lines.append(
         f"  incrementalization: semi-naive {fast.seconds:.2f}s "
         f"({fast.solver.stats.rule_applications} rule applications) vs "
@@ -647,10 +663,8 @@ def ablation_table(name: str = "jboss") -> Tuple[str, List[dict]]:
 
     # 2. Variable order: context bits deepest (default) vs first.
     graph = fast.discovered_call_graph
-    good = ContextSensitiveAnalysis(facts=facts, call_graph=graph).run()
-    bad = ContextSensitiveAnalysis(
-        facts=facts, call_graph=graph, order_spec="C_V_H_F_T_I_M_Z"
-    ).run()
+    good = cs(call_graph=graph).run()
+    bad = cs(call_graph=graph, order_spec="C_V_H_F_T_I_M_Z").run()
     lines.append(
         f"  variable order:     contexts-last {good.seconds:.2f}s "
         f"({_mb(good.peak_nodes):.1f} MB) vs contexts-first "
@@ -668,13 +682,11 @@ def ablation_table(name: str = "jboss") -> Tuple[str, List[dict]]:
 
     # 3. Type filtering: time and precision (Section 2.3 / Figure 4).
     cha = cha_call_graph(facts)
-    unfiltered = ContextInsensitiveAnalysis(
-        facts=facts, type_filtering=False, discover_call_graph=False,
-        call_graph=cha,
+    unfiltered = ci(
+        type_filtering=False, discover_call_graph=False, call_graph=cha
     ).run()
-    filtered = ContextInsensitiveAnalysis(
-        facts=facts, type_filtering=True, discover_call_graph=False,
-        call_graph=cha,
+    filtered = ci(
+        type_filtering=True, discover_call_graph=False, call_graph=cha
     ).run()
     lines.append(
         f"  type filtering:     off {unfiltered.seconds:.2f}s "
@@ -693,8 +705,8 @@ def ablation_table(name: str = "jboss") -> Tuple[str, List[dict]]:
 
     # 4. Plan optimizer: executed BDD operations with the pass pipeline
     # on vs off (the bddbddb-style query-plan optimization).
-    opt = ContextInsensitiveAnalysis(facts=facts, optimize=True).run()
-    unopt = ContextInsensitiveAnalysis(facts=facts, optimize=False).run()
+    opt = ci(optimize=True).run()
+    unopt = ci(optimize=False).run()
     opt_ops = opt.solver.stats.plan_ops
     unopt_ops = unopt.solver.stats.plan_ops
     lines.append(
@@ -720,12 +732,10 @@ def ablation_table(name: str = "jboss") -> Tuple[str, List[dict]]:
     # randomized IEC can only be built tuple-by-tuple, so this ablation
     # runs on the smallest entry — which is exactly the point: random
     # numbering does not scale past toy context counts.
-    small = corpus_entry("freetts").build()
-    small_facts = extract_facts(small)
-    ci = ContextInsensitiveAnalysis(facts=small_facts).run()
-    graph = ci.discovered_call_graph
-    contiguous = ContextSensitiveAnalysis(facts=small_facts, call_graph=graph).run()
-    shuffled = _run_with_shuffled_numbering(small_facts, graph)
+    small_facts = extract_facts(corpus_entry("freetts").build())
+    graph = ci(facts=small_facts).run().discovered_call_graph
+    contiguous = cs(facts=small_facts, call_graph=graph).run()
+    shuffled = _run_with_shuffled_numbering(small_facts, graph, backend)
     lines.append(
         f"  context numbering:  contiguous {contiguous.seconds:.2f}s "
         f"({_mb(contiguous.peak_nodes):.1f} MB) vs randomized "
@@ -743,12 +753,13 @@ def ablation_table(name: str = "jboss") -> Tuple[str, List[dict]]:
     return "\n".join(lines), rows
 
 
-def _run_with_shuffled_numbering(facts, graph) -> Tuple[float, int]:
+def _run_with_shuffled_numbering(
+    facts, graph, backend: Optional[str] = None
+) -> Tuple[float, int]:
     """Algorithm 5 with per-method context numbers randomly permuted —
     destroying the contiguity Algorithm 4 provides while preserving the
     clone structure.  The IEC BDD is built tuple-by-tuple."""
     from ..analysis.base import load_datalog_source, make_solver
-    from ..analysis.context_sensitive import ContextSensitiveAnalysis
 
     entry_m = facts.method_id(facts.program.entry.qualified)
     numbering = number_call_graph(graph, entries=[entry_m])
@@ -771,7 +782,9 @@ def _run_with_shuffled_numbering(facts, graph) -> Tuple[float, int]:
 
     start = time.monotonic()
     source = load_datalog_source("algorithm5")
-    solver = make_solver(facts, source, size_overrides={"C": c_size})
+    solver = make_solver(
+        facts, source, size_overrides={"C": c_size}, backend=backend
+    )
     tuples = []
     for rng_edge in numbering.ranges:
         caller_perm = perm(rng_edge.caller)
@@ -803,8 +816,138 @@ def _run_with_shuffled_numbering(facts, graph) -> Tuple[float, int]:
 
 
 # ----------------------------------------------------------------------
+# Baselines: k-CFA and the precision ladder
+# ----------------------------------------------------------------------
+
+
+def kcfa_table(
+    name: str = "jboss", backend: Optional[str] = None
+) -> Tuple[str, List[dict]]:
+    """Full call-path cloning (Algorithm 4) vs 1-CFA.
+
+    The paper positions its reduced-call-path contexts against Shivers'
+    k-CFA ("one remembers only the last k call sites").  1-CFA has
+    exponentially fewer contexts but loses precision whenever a wrapper
+    hides the decisive call site.  Each row counts the (variable, heap)
+    pairs an analysis derives and, as ``outside_coarser``, how many of
+    them the next coarser analysis lacks (0 for a sound ladder)."""
+    facts = extract_facts(corpus_entry(name).build())
+    ci = ContextInsensitiveAnalysis(facts=facts, backend=backend).run()
+    cs = functools.partial(
+        ContextSensitiveAnalysis, facts=facts, backend=backend,
+        call_graph=ci.discovered_call_graph,
+    )
+    ci_vp = set(ci.relation("vP").tuples())
+    cfa = cs(context_policy="1cfa").run()
+    cfa_vp = set(cfa.vPC.project("variable", "heap").tuples())
+    full = cs().run()
+    full_vp = set(full.vPC.project("variable", "heap").tuples())
+    rows = [
+        {"analysis": "ci", "pairs": len(ci_vp), "seconds": ci.seconds},
+        {
+            "analysis": "1cfa",
+            "pairs": len(cfa_vp),
+            "contexts": cfa.max_paths(),
+            "seconds": cfa.seconds,
+            "outside_coarser": len(cfa_vp - ci_vp),
+        },
+        {
+            "analysis": "full",
+            "pairs": len(full_vp),
+            "contexts": full.max_paths(),
+            "seconds": full.seconds,
+            "outside_coarser": len(full_vp - cfa_vp),
+        },
+    ]
+    text = "\n".join(
+        [
+            f"k-CFA baseline comparison on corpus entry '{name}':",
+            f"  context-insensitive:  {len(ci_vp)} (var, heap) pairs",
+            f"  1-CFA:                {len(cfa_vp)} pairs, "
+            f"{cfa.max_paths()} max contexts, {cfa.seconds:.2f}s",
+            f"  full cloning (Alg 4): {len(full_vp)} pairs, "
+            f"{full.max_paths()} max contexts, {full.seconds:.2f}s",
+        ]
+    )
+    return text, rows
+
+
+def precision_table(
+    name: str = "jetty", backend: Optional[str] = None
+) -> Tuple[str, List[dict]]:
+    """Points-to precision along the analysis ladder.
+
+    Complements Figure 6's client-level precision with the literature's
+    direct metrics: average and maximum points-to set size and the
+    singleton ratio, for CI without and with type filtering, 1-CFA and
+    full cloning.  The full-cloning row also counts the variables whose
+    set shrank (``improved``) or grew (``regressed``, an unsoundness)
+    against filtered CI."""
+    facts = extract_facts(corpus_entry(name).build())
+    ci = functools.partial(
+        ContextInsensitiveAnalysis, facts=facts, backend=backend
+    )
+    nofilter = ci(type_filtering=False).run()
+    filtered = ci().run()
+    cs = functools.partial(
+        ContextSensitiveAnalysis, facts=facts, backend=backend,
+        call_graph=filtered.discovered_call_graph,
+    )
+    cfa = cs(context_policy="1cfa").run()
+    full = cs().run()
+    diff = compare_precision(filtered, full)
+    lines = [
+        f"Points-to precision ladder on corpus entry '{name}':",
+        f"{'analysis':<16}{'avg |pts|':>10}{'max':>6}{'singleton %':>13}",
+    ]
+    rows = []
+    for label, result in (
+        ("CI, no filter", nofilter),
+        ("CI, filtered", filtered),
+        ("1-CFA", cfa),
+        ("full cloning", full),
+    ):
+        stats = precision_stats(result)
+        lines.append(
+            f"{label:<16}{stats.average_set_size:>10.2f}"
+            f"{stats.max_set_size:>6}{100 * stats.singleton_ratio:>12.1f}%"
+        )
+        rows.append(
+            {
+                "analysis": label,
+                "average": stats.average_set_size,
+                "max": stats.max_set_size,
+                "singleton_ratio": stats.singleton_ratio,
+            }
+        )
+    rows[-1]["improved"] = len(diff.improved)
+    rows[-1]["regressed"] = len(diff.regressed)
+    lines.append(
+        f"full cloning vs CI, filtered: {len(diff.improved)} variables "
+        f"improved, {len(diff.regressed)} regressed"
+    )
+    return "\n".join(lines), rows
+
+
+# ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------
+
+# Figures drawn from the corpus runs.
+_RUN_FIGURES = {
+    "fig3": fig3_table,
+    "fig4": fig4_table,
+    "fig5": fig5_table,
+    "fig6": fig6_table,
+}
+
+# Tables that build their own workloads, with their report section titles.
+_TABLES = {
+    "scaling": (scaling_table, "Section 6.2 — scaling"),
+    "ablation": (ablation_table, "Ablations"),
+    "kcfa": (kcfa_table, "Baseline — 1-CFA vs full cloning"),
+    "precision": (precision_table, "Points-to precision ladder"),
+}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -814,10 +957,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "figure",
-        choices=[
-            "fig3", "fig4", "fig5", "fig6", "scaling", "ablation", "all",
-            "report",
-        ],
+        choices=[*_RUN_FIGURES, *_TABLES, "all", "report"],
     )
     parser.add_argument("--small", action="store_true", help="fast subset")
     parser.add_argument("--out", default="results", help="output directory")
@@ -869,18 +1009,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     figures = (
-        ["fig3", "fig4", "fig5", "fig6", "scaling", "ablation"]
-        if args.figure == "all"
-        else [args.figure]
+        [*_RUN_FIGURES, *_TABLES] if args.figure == "all" else [args.figure]
     )
     entries = None
     if args.entries:
         entries = [n.strip() for n in args.entries.split(",") if n.strip()]
     runs = None
     crashed = False
-    if args.figure == "report" or any(
-        f in figures for f in ("fig3", "fig4", "fig5", "fig6")
-    ):
+    if args.figure == "report" or any(f in _RUN_FIGURES for f in figures):
         print("Running corpus ...", flush=True)
         if args.isolate:
             runs, records = run_corpus_supervised(
@@ -922,29 +1058,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print("no corpus entry finished within the budget")
             return 70 if crashed else 75
     if args.figure == "report":
-        from .report import build_report
+        from .report import TABLE_CHECKS, build_report
 
-        extra = {}
-        scaling_text, _ = scaling_table()
-        extra["Section 6.2 — scaling"] = scaling_text
-        ablation_text, _ = ablation_table()
-        extra["Ablations"] = ablation_text
-        text = build_report(runs, extra_sections=extra)
+        sections = {}
+        checks = []
+        for figure, (build, title) in _TABLES.items():
+            text, rows = build(backend=args.backend)
+            sections[title] = text
+            checks += TABLE_CHECKS[figure](rows)
+        text = build_report(runs, extra_sections=sections, extra_checks=checks)
         print(text)
         (out / "report.md").write_text(text)
         return 70 if crashed else 0
     for figure in figures:
-        if figure == "scaling":
-            text, _ = scaling_table()
-        elif figure == "ablation":
-            text, _ = ablation_table()
+        if figure in _TABLES:
+            text, _ = _TABLES[figure][0](backend=args.backend)
         else:
-            text, _ = {
-                "fig3": fig3_table,
-                "fig4": fig4_table,
-                "fig5": fig5_table,
-                "fig6": fig6_table,
-            }[figure](runs)
+            text, _ = _RUN_FIGURES[figure](runs)
         print()
         print(text)
         (out / f"{figure}.txt").write_text(text + "\n")

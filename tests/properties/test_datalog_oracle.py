@@ -2,11 +2,11 @@
 
 A Hypothesis generator builds small stratified programs — two to four
 levels of derived predicates, negation of lower levels only, constants,
-don't-cares, ``!=`` filters, arity 1–3, mutual recursion within a level,
-one or two domains of at most 8 elements — together with random facts,
-fact edits and demand goals.  An explicit-set evaluator computes each
-program's model, and every driver × backend × optimizer combination
-must reproduce it:
+don't-cares, ``=`` and ``!=`` comparisons, arity 1–3, mutual recursion
+within a level, one or two domains of at most 8 elements — together with
+random facts, fact edits and demand goals.  An explicit-set evaluator
+computes each program's model, and every driver × backend × optimizer
+combination must reproduce it:
 
 * :meth:`Solver.solve` from empty derived relations;
 * :meth:`Solver.solve_incremental` after random additions and removals
@@ -54,7 +54,8 @@ class Rule:
     head: Atom
     positive: List[Atom]
     negative: List[Atom] = field(default_factory=list)
-    not_equal: List[Tuple[Term, Term]] = field(default_factory=list)
+    # (op, lhs, rhs) with op "=" or "!=".
+    comparisons: List[Tuple[str, Term, Term]] = field(default_factory=list)
 
 
 @dataclass
@@ -90,7 +91,7 @@ def _atom(atom: Atom, negated: bool = False) -> str:
 def _render(rule: Rule) -> str:
     body = [_atom(a) for a in rule.positive]
     body += [_atom(a, True) for a in rule.negative]
-    body += [f"{_term(x)} != {_term(y)}" for x, y in rule.not_equal]
+    body += [f"{_term(x)} {op} {_term(y)}" for op, x, y in rule.comparisons]
     return f"{_atom(rule.head)} :- {', '.join(body)}."
 
 
@@ -166,16 +167,17 @@ def _draw_rule(draw, domains, schema, head, negatable, readable, base) -> Rule:
     if draw(st.integers(0, 2)) == 2:
         rel = draw(st.sampled_from(negatable))
         negative.append((rel, atom_terms(rel, False)))
-    not_equal = []
+    comparisons = []
     if draw(st.integers(0, 3)) == 3:
         dom = draw(st.sampled_from(list(domains)))
         if bound[dom]:
+            op = draw(st.sampled_from(["=", "!="]))
             lhs = ("v", draw(st.sampled_from(bound[dom])))
             if draw(st.booleans()):
                 rhs = ("v", draw(st.sampled_from(bound[dom])))
             else:
                 rhs = ("c", draw(st.integers(0, domains[dom] - 1)))
-            not_equal.append((lhs, rhs))
+            comparisons.append((op, lhs, rhs))
     head_terms = []
     for dom in schema[head]:
         choice = draw(st.integers(0, 5))
@@ -185,7 +187,7 @@ def _draw_rule(draw, domains, schema, head, negatable, readable, base) -> Rule:
             head_terms.append(new_var(dom))
         else:
             head_terms.append(("c", draw(st.integers(0, domains[dom] - 1))))
-    return Rule((head, tuple(head_terms)), positive, negative, not_equal)
+    return Rule((head, tuple(head_terms)), positive, negative, comparisons)
 
 
 def tuples_of(draw, program: Program, rel: str, min_size: int,
@@ -291,7 +293,7 @@ def _derive(program: Program, rule: Rule, db) -> Set[tuple]:
     literal only, the head or the negated atom."""
     keep = _vars(rule.head[1]).union(
         *(_vars(terms) for _, terms in rule.negative),
-        *(_vars(pair) for pair in rule.not_equal),
+        *(_vars((x, y)) for _, x, y in rule.comparisons),
     )
     # Join the positive atoms, keeping only variables used later.
     envs = {()}
@@ -310,7 +312,8 @@ def _derive(program: Program, rule: Rule, db) -> Set[tuple]:
     out = set()
     for env in map(dict, envs):
         val = lambda t: env[t[1]] if t[0] == "v" else t[1]  # noqa: E731
-        if any(val(x) == val(y) for x, y in rule.not_equal):
+        if any((val(x) == val(y)) != (op == "=")
+               for op, x, y in rule.comparisons):
             continue
         if any(_covers(program, atom, env, db, var_doms)
                for atom in rule.negative):

@@ -14,6 +14,7 @@ import io
 
 import pytest
 
+from repro.bench.corpus import corpus_program
 from repro.ir import parse_program
 from repro.runtime import ResourceBudget, SolverTimeout, faults
 from repro.serve import (
@@ -117,6 +118,39 @@ class TestPointsToIdentity:
         got = restricted_engine.query("points-to", {"variable": "Main.main:a"})
         assert got["demand"] is True
         assert got["count"] >= 1
+
+
+class TestCorpusIdentity:
+    """The same identity on a corpus program saved to and loaded back from
+    a ``.ptdb``, the way a server holds it.  Generated corpus programs
+    keep their allocation-heavy worker methods outside ``Util``, so
+    ``Util.*`` leaves most variables to demand."""
+
+    @pytest.fixture(scope="class")
+    def corpus_engines(self, backend, tmp_path_factory):
+        program = corpus_program("freetts")
+        full = compile_database(program, backend=backend)
+        path = tmp_path_factory.mktemp("demand") / "freetts.ptdb"
+        compile_database(program, backend=backend, budget_class="Util.*").save(
+            path
+        )
+        loaded = PointsToDatabase.load(path, backend=backend)
+        uncovered = [
+            spec for spec in sorted(loaded.var_reps)
+            if not loaded.covers_variable(loaded.var_id(spec))
+        ]
+        return QueryEngine(full), QueryEngine(loaded), uncovered[:3]
+
+    def test_uncovered_answers_match_exhaustive(self, corpus_engines):
+        full_engine, demand_engine, specs = corpus_engines
+        assert len(specs) == 3
+        for spec in specs:
+            for c in (None, 0):
+                args = {"variable": spec, "context": c}
+                want = full_engine.query("points-to", dict(args))
+                got = demand_engine.query("points-to", dict(args))
+                assert got["heaps"] == want["heaps"], (spec, c)
+                assert got["demand"] is True, (spec, c)
 
 
 class TestAliasIdentity:
