@@ -32,10 +32,10 @@ keeps the vid *above* a 3-bit tag rather than below a wide one so the
 whole key stays within two 30-bit bigint digits for small varset ids —
 key construction is pure small-int shifting on the hot path.
 
-**Depth-safe hot loops.**  ``apply`` (and/or/diff/xor), ``exist``, and
-``rel_prod`` recursion descends one variable level per step, so its
-depth is bounded by the arena's variable count — never by diagram size.
-The backend exploits that bound adaptively:
+**Depth-safe hot loops.**  ``apply`` (and/or/diff/xor), ``ite``,
+``exist``, ``rel_prod`` and ``replace`` recursion descends one variable
+level per step, so its depth is bounded by the arena's variable count —
+never by diagram size.  The backend exploits that bound adaptively:
 
 * arenas at most :data:`_RECURSION_SAFE_VARS` variables wide (every
   analysis arena in this reproduction is well under it) run a
@@ -51,8 +51,8 @@ The backend exploits that bound adaptively:
 
 Either way ``RecursionError`` is unreachable: the recursive form only
 runs when its depth bound provably fits default interpreter limits, and
-the stack form has no recursion at all.  ``not_``, ``ite``, and
-``replace`` always use the stack form (they are not solver-hot).
+the stack form has no recursion at all.  Only ``not_`` always uses the
+stack form (it is not solver-hot).
 """
 
 from __future__ import annotations

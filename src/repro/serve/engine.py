@@ -27,6 +27,7 @@ Three mechanisms keep the lock from being the bottleneck:
   *pre-encoded* result dicts — hits never touch the lock,
 * in-flight deduplication — concurrent identical misses run the
   evaluator once; the waiters get the same result and count as hits,
+  each waiting no longer than its own deadline or timeout allows,
 * per-request :class:`ResourceBudget` enforcement — a watchdog on the
   manager plus deadline checks in the decode loops, so one pathological
   query cannot starve the rest for long and returns a *typed*
@@ -40,7 +41,6 @@ import time
 from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..datalog.relation import Relation
 from ..runtime import (
     NodeBudgetExceeded,
     ResourceBudget,
@@ -177,42 +177,56 @@ class QueryEngine:
         if use_cache:
             hit = self._cache_get(key)
             if hit is not None:
-                negative = hit.get("__query_error__")
                 self.metrics.observe_query(
                     kind, time.monotonic() - start,
                     cache_hit=True, computed=False,
-                    error=negative is not None,
                 )
-                if negative is not None:
-                    # A cached typed failure: repeating the lookup would
-                    # fail identically, so replay it without the lock.
-                    raise QueryError(negative[0], negative[1])
                 return hit
 
-        # In-flight dedup: first thread computes, the rest wait.
-        owner = False
-        with self._inflight_lock:
-            flight = self._inflight.get(key)
-            if flight is None:
-                flight = self._inflight[key] = _InFlight()
-                owner = True
-        if not owner:
-            flight.event.wait()
-            if flight.error is not None:
+        budget, deadline_bound = self._budget_for(timeout, deadline)
+        while True:
+            # In-flight dedup: first thread computes, the rest wait.
+            with self._inflight_lock:
+                flight = self._inflight.get(key)
+                owner = flight is None
+                if owner:
+                    flight = self._inflight[key] = _InFlight()
+            if owner:
+                break
+            # A waiter is bound by its own budget, not the owner's.
+            limit = None if budget is None else max(0.0, budget.remaining())
+            if not flight.event.wait(limit):
                 self.metrics.observe_query(
                     kind, time.monotonic() - start,
                     cache_hit=False, computed=False, error=True,
                 )
-                raise flight.error
-            assert flight.result is not None
-            self.metrics.observe_query(
-                kind, time.monotonic() - start,
-                cache_hit=True, computed=False,
-            )
-            return flight.result
+                if deadline_bound:
+                    raise QueryError(
+                        "deadline-exceeded",
+                        "deadline passed while waiting for an identical query",
+                    )
+                raise QueryError(
+                    "budget-exceeded",
+                    f"wall-clock budget of {budget.timeout:.3f}s exhausted "
+                    f"while waiting for an identical query",
+                )
+            error = flight.error
+            if error is None:
+                self.metrics.observe_query(
+                    kind, time.monotonic() - start,
+                    cache_hit=True, computed=False,
+                )
+                return flight.result
+            if error.code not in ("budget-exceeded", "deadline-exceeded"):
+                self.metrics.observe_query(
+                    kind, time.monotonic() - start,
+                    cache_hit=False, computed=False, error=True,
+                )
+                raise error
+            # The owner ran out of its own budget, which says nothing
+            # about this waiter's: evaluate again.
 
         try:
-            budget, deadline_bound = self._budget_for(timeout, deadline)
             try:
                 with self._eval_lock:
                     result = self._evaluate(kind, args, budget)
@@ -235,22 +249,17 @@ class QueryEngine:
             return result
         except QueryError as err:
             flight.error = err
-            if use_cache and err.code == "not-found":
-                # Name-resolution failures are as stable as the database
-                # itself (the key includes db_id): cache the typed error
-                # so repeated lookups of a missing name skip the lock.
-                self._cache_put(
-                    key, {"__query_error__": (err.code, str(err))}
-                )
             self.metrics.observe_query(
                 kind, time.monotonic() - start,
                 cache_hit=False, computed=False, error=True,
             )
             raise
         finally:
-            flight.event.set()
+            # Unpublish before waking the waiters, so one that retries
+            # never finds this finished flight again.
             with self._inflight_lock:
                 self._inflight.pop(key, None)
+            flight.event.set()
 
     def query_batch(
         self,
@@ -260,204 +269,34 @@ class QueryEngine:
     ) -> List[Any]:
         """Answer a list of protocol sub-requests (the ``batch`` verb).
 
-        Homogeneous ``points-to`` point lookups are answered with one
-        BDD evaluation instead of N: the missing variables are encoded
-        as a query relation (an OR of per-variable cubes), conjoined
-        with ``vP`` (or ``vPC`` for context-sensitive items) in a single
-        ``and_``, and the joint result is decoded once and split per
-        variable.  Each split result is installed in the scalar result
-        cache under the same key the equivalent ``query`` call would
-        use, so batch warm-up benefits later point queries and vice
-        versa.  Sub-requests of any other kind — or ``points-to`` items
-        with a per-item timeout, ``no_cache``, or arguments the
-        vectorized path cannot honor — fall back to :meth:`query`
-        one by one.
-
+        Each item is answered by :meth:`query` with its own
+        ``timeout_s`` and ``no_cache`` and the batch's ``deadline``.
         Returns one entry per request, in order: a result dict on
         success or the :class:`QueryError` the item raised.  The batch
         itself never raises for per-item failures.
         """
-        out: List[Any] = [None] * len(requests)
-        # key -> [(request index, cache key)]; insertion order preserved.
-        pending: "OrderedDict[Tuple[int, Optional[int]], List[Tuple[int, tuple]]]" = OrderedDict()
-        start = time.monotonic()
-
-        for i, sub in enumerate(requests):
+        out: List[Any] = []
+        for sub in requests:
             kind = sub.get("kind")
-            raw_args = sub.get("args") or {}
             if not isinstance(kind, str):
-                err = QueryError(
-                    "bad-argument", "query request lacks a string 'kind'"
-                )
                 self.metrics.observe_query(
                     str(kind), 0.0, cache_hit=False, computed=False, error=True,
                 )
-                out[i] = err
+                out.append(QueryError(
+                    "bad-argument", "query request lacks a string 'kind'"
+                ))
                 continue
-            spec = self._batch_eligible(kind, sub, raw_args)
-            if spec is None:
-                try:
-                    out[i] = self.query(
-                        kind,
-                        raw_args,
-                        timeout=sub.get("timeout_s"),
-                        deadline=deadline,
-                        use_cache=not sub.get("no_cache", False),
-                    )
-                except QueryError as err:
-                    out[i] = err
-                continue
-            key = (self.db.db_id, kind, _canonical(dict(raw_args)))
-            hit = self._cache_get(key)
-            if hit is not None:
-                negative = hit.get("__query_error__")
-                self.metrics.observe_query(
-                    kind, time.monotonic() - start,
-                    cache_hit=True, computed=False,
-                    error=negative is not None,
-                )
-                out[i] = (
-                    QueryError(negative[0], negative[1])
-                    if negative is not None
-                    else hit
-                )
-                continue
-            pending.setdefault(spec, []).append((i, key))
-
-        if pending:
-            self._run_batch_misses(pending, deadline, out, start)
-        return out
-
-    def _batch_eligible(
-        self, kind: str, sub: Dict[str, Any], args: Dict[str, Any]
-    ) -> Optional[Tuple[int, Optional[int]]]:
-        """``(variable ordinal, context)`` when the vectorized path can
-        answer this sub-request exactly like :meth:`query` would;
-        ``None`` routes it through the scalar path instead."""
-        if kind != "points-to":
-            return None
-        if sub.get("no_cache", False) or sub.get("timeout_s") is not None:
-            return None
-        if not set(args) <= {"variable", "context"}:
-            return None
-        context = args.get("context")
-        if context is None:
-            rel = self.db.relations.get("vP")
-            if rel is None:
-                return None
-        else:
-            if not isinstance(context, int) or isinstance(context, bool) \
-                    or context < 0:
-                return None  # scalar path raises the bad-argument error
-            rel = self.db.relations.get("vPC")
-            if rel is None or context >= rel.attribute("context").phys.size:
-                return None
-        try:
-            v = self._resolve_var(args.get("variable"))
-        except QueryError:
-            return None  # scalar path raises the same typed error
-        if not self.db.covers_variable(v):
-            return None  # scalar path routes it to demand evaluation
-        return (v, context)
-
-    def _run_batch_misses(
-        self,
-        pending: "OrderedDict[Tuple[int, Optional[int]], List[Tuple[int, tuple]]]",
-        deadline: Optional[float],
-        out: List[Any],
-        start: float,
-    ) -> None:
-        """Evaluate all vector-eligible cache misses in (at most) two
-        BDD operations and distribute results/errors to their slots."""
-        try:
-            budget, deadline_bound = self._budget_for(None, deadline)
             try:
-                with self._eval_lock:
-                    results = self._eval_batch_groups(pending, budget)
-            except SolverTimeout as err:
-                if deadline_bound:
-                    raise QueryError(
-                        "deadline-exceeded", f"deadline passed mid-query: {err}"
-                    )
-                raise QueryError("budget-exceeded", str(err))
-            except NodeBudgetExceeded as err:
-                raise QueryError("budget-exceeded", str(err))
-        except QueryError as err:
-            for slots in pending.values():
-                for i, _key in slots:
-                    self.metrics.observe_query(
-                        "points-to", time.monotonic() - start,
-                        cache_hit=False, computed=False, error=True,
-                    )
-                    out[i] = err
-            return
-        elapsed = time.monotonic() - start
-        for spec, slots in pending.items():
-            result = results[spec]
-            for i, key in slots:
-                self._cache_put(key, result)
-                self.metrics.observe_query(
-                    "points-to", elapsed, cache_hit=False, computed=True,
-                )
-                out[i] = result
-
-    def _eval_batch_groups(
-        self,
-        pending: "OrderedDict[Tuple[int, Optional[int]], List[Tuple[int, tuple]]]",
-        budget,
-    ) -> Dict[Tuple[int, Optional[int]], Dict[str, Any]]:
-        """Called under ``_eval_lock``: one joint select per relation.
-
-        Context-insensitive specs share a query against ``vP``; the
-        context-sensitive ones share a query against ``vPC`` whose cubes
-        constrain both the context and the variable block.
-        """
-        manager = self.db.manager
-        heaps = self.db.maps["H"]
-        results: Dict[Tuple[int, Optional[int]], Dict[str, Any]] = {}
-
-        ci = sorted({v for v, c in pending if c is None})
-        cs = sorted({(c, v) for v, c in pending if c is not None})
-
-        rows_ci: Dict[int, List[int]] = {v: [] for v in ci}
-        if ci:
-            rel = self.db.relation("vP")
-            var = rel.attribute("variable").phys
-            query = manager.or_all([var.eq_const(v) for v in ci])
-            joint = Relation(manager, "vP_batch", rel.attributes)
-            joint.set_node(manager.and_(rel.node, query))
-            names = [a.name for a in rel.attributes]
-            vi, hi = names.index("variable"), names.index("heap")
-            for row in self._decode(joint, budget):
-                rows_ci[row[vi]].append(row[hi])
-
-        rows_cs: Dict[Tuple[int, int], List[int]] = {cv: [] for cv in cs}
-        if cs:
-            rel = self.db.relation("vPC")
-            ctx = rel.attribute("context").phys
-            var = rel.attribute("variable").phys
-            query = manager.or_all(
-                [manager.and_(ctx.eq_const(c), var.eq_const(v)) for c, v in cs]
-            )
-            joint = Relation(manager, "vPC_batch", rel.attributes)
-            joint.set_node(manager.and_(rel.node, query))
-            names = [a.name for a in rel.attributes]
-            idx = (names.index("context"), names.index("variable"),
-                   names.index("heap"))
-            for row in self._decode(joint, budget):
-                rows_cs[(row[idx[0]], row[idx[1]])].append(row[idx[2]])
-
-        for (v, c) in pending:
-            hs = rows_ci[v] if c is None else rows_cs[(c, v)]
-            names = sorted(heaps[h] for h in hs)
-            results[(v, c)] = {
-                "variable": self.db.maps["V"][v],
-                "context": c,
-                "heaps": names,
-                "count": len(names),
-                "demand": False,
-            }
-        return results
+                out.append(self.query(
+                    kind,
+                    sub.get("args") or {},
+                    timeout=sub.get("timeout_s"),
+                    deadline=deadline,
+                    use_cache=not sub.get("no_cache", False),
+                ))
+            except QueryError as err:
+                out.append(err)
+        return out
 
     def stats(self) -> Dict[str, Any]:
         with self._cache_lock:

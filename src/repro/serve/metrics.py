@@ -194,17 +194,6 @@ class Metrics:
         with self._lock:
             self._kind(kind).observe_demand(seconds, outcome)
 
-    def wire_hit(self, kind: str, seconds: float) -> None:
-        """A wire-cache hit: one lock acquisition for the whole hot path
-        (request count + kind counters + latency sample).  The in-flight
-        gauge is skipped — the request is over before it could read 1."""
-        with self._lock:
-            self.requests_total += 1
-            stats = self._kind(kind)
-            stats.requests += 1
-            stats.cache_hits += 1
-            stats.observe(seconds)
-
     def protocol_error(self, code: str) -> None:
         with self._lock:
             self._errors[code] = self._errors.get(code, 0) + 1

@@ -17,9 +17,8 @@ Always-on machinery (all of it off the query hot path):
   single attribute assignment — atomic under the GIL — so handlers
   either see the whole old state or the whole new one.  In-flight
   queries finish against the epoch they started on; new requests read
-  the fresh pointer.  Each epoch owns its own engine (so the engine LRU
-  dies with the epoch) and the wire cache is keyed by ``db_id`` *and*
-  cleared on swap.  A candidate that fails validation is discarded and
+  the fresh pointer.  Each epoch owns its own engine, so the engine LRU
+  dies with the epoch.  A candidate that fails validation is discarded and
   the old database keeps serving — the client gets a typed
   ``reload-failed`` error, never a half-swapped server.
 * **Admission control** — a bounded pending-work limit
@@ -56,7 +55,7 @@ import socket
 import sys
 import threading
 import time
-from typing import Any, Dict, List, Optional, TextIO, Tuple
+from typing import Any, Dict, List, Optional, TextIO
 
 from .. import __version__ as TOOL_VERSION
 from ..runtime import faults
@@ -200,18 +199,6 @@ class PointsToServer:
         self.idle_timeout = idle_timeout
         self.admission = _Admission(max_pending, kind_limits, retry_after_ms)
         self._log = log if log is not None else sys.stderr
-        # Wire-level response cache: (db_id, exact request line) ->
-        # (query kind, encoded response bytes).  A hit skips JSON
-        # parsing, engine dispatch, and re-encoding — the hot path for
-        # clients that repeat identical request lines.  Sound because a
-        # loaded database is immutable and the key pins the epoch's
-        # db_id: after a hot swap, old entries are unreachable (and the
-        # cache is cleared anyway).  Only ``ok`` query responses without
-        # ``no_cache`` are stored.  Clear-on-overflow, same policy as
-        # the BDD operation caches.
-        self._wire_cache: Dict[Tuple[str, bytes], tuple] = {}
-        self._wire_lock = threading.Lock()
-        self._wire_cap = max(64, cache_size)
         self._reload_lock = threading.Lock()
         self._hup = threading.Event()
         self._listener: Optional[socket.socket] = None
@@ -409,8 +396,6 @@ class PointsToServer:
             # GIL.  In-flight requests hold the old state object; it
             # (and its engine LRU) is garbage once they drain.
             self._state = state
-            with self._wire_lock:
-                self._wire_cache.clear()
             self.metrics.reload(True)
             self._print(
                 f"reloaded {state.db.db_id} from {target} "
@@ -526,35 +511,13 @@ class PointsToServer:
                         )
                         continue
                     break  # mid-request disconnect: drop the partial line
-                # Capture the epoch once; everything below — wire-cache
-                # lookup, dispatch, wire-cache store — uses this state
-                # object, so a concurrent hot swap cannot mix epochs
-                # within one request.
-                state = self._state
-                hit = self._wire_cache.get((state.db.db_id, line))
-                if hit is not None:
-                    started = time.perf_counter()
-                    kind, payload = hit
-                    ok = self._send_bytes(conn, payload)
-                    self.metrics.wire_hit(
-                        kind, time.perf_counter() - started
-                    )
-                    if not ok:
-                        break
-                else:
-                    if not line.strip():
-                        continue
-                    response, wire_kind = self._dispatch(line, state, received)
-                    payload = encode(response)
-                    if wire_kind is not None:
-                        with self._wire_lock:
-                            if len(self._wire_cache) >= self._wire_cap:
-                                self._wire_cache.clear()
-                            self._wire_cache[(state.db.db_id, bytes(line))] = (
-                                wire_kind, payload,
-                            )
-                    if not self._send_bytes(conn, payload):
-                        break
+                if not line.strip():
+                    continue
+                # Capture the epoch once, so a concurrent hot swap cannot
+                # mix epochs within one request.
+                response = self._dispatch(line, self._state, received)
+                if not self._send_bytes(conn, encode(response)):
+                    break
                 served += 1
                 if served >= self.max_requests_per_connection:
                     break
@@ -591,13 +554,11 @@ class PointsToServer:
     # ------------------------------------------------------------------
 
     def _dispatch(self, line: bytes, state: _ServeState, received: float):
-        """Handle one request line; returns ``(response, wire_kind)``.
+        """Handle one request line and return its response.
 
         ``state`` is the epoch captured at receipt; ``received`` is the
         ``time.monotonic()`` instant the line arrived, which anchors the
-        client's ``deadline_ms``.  ``wire_kind`` is the query kind when
-        the response is eligible for the wire cache (a successful plain
-        query), else ``None``.
+        client's ``deadline_ms``.
         """
         self.metrics.request_started()
         admitted: Optional[str] = None
@@ -607,7 +568,7 @@ class PointsToServer:
                 request = decode_request(line)
             except ProtocolError as err:
                 self.metrics.protocol_error(err.code)
-                return error_response(None, err.code, str(err)), None
+                return error_response(None, err.code, str(err))
             request_id = request.get("id")
             verb = request["verb"]
             deadline: Optional[float] = None
@@ -633,49 +594,42 @@ class PointsToServer:
                     admitted = admission_kind
                 if verb == "query":
                     result = self._do_query(request, state, deadline)
-                    wire_kind = (
-                        request["kind"]
-                        if not request.get("no_cache") else None
-                    )
-                    return ok_response(request_id, result), wire_kind
+                    return ok_response(request_id, result)
                 if verb == "batch":
-                    return (
-                        ok_response(
-                            request_id, self._do_batch(request, state, deadline)
-                        ),
-                        None,
+                    return ok_response(
+                        request_id, self._do_batch(request, state, deadline)
                     )
                 if verb == "hello":
-                    return ok_response(request_id, self._do_hello(state)), None
+                    return ok_response(request_id, self._do_hello(state))
                 if verb == "stats":
-                    return ok_response(request_id, self._do_stats(state)), None
+                    return ok_response(request_id, self._do_stats(state))
                 if verb == "ping":
-                    return ok_response(request_id, {"pong": True}), None
+                    return ok_response(request_id, {"pong": True})
                 if verb == "health":
-                    return ok_response(request_id, self._do_health(state)), None
+                    return ok_response(request_id, self._do_health(state))
                 if verb == "reload":
                     result = self.reload(
                         path=request.get("path"),
                         expect_db_id=request.get("expect_db_id"),
                     )
-                    return ok_response(request_id, result), None
+                    return ok_response(request_id, result)
                 if verb == "shutdown":
                     # Answer first; the event stops the accept/serve loops.
                     self._shutdown.set()
-                    return ok_response(request_id, {"stopping": True}), None
+                    return ok_response(request_id, {"stopping": True})
                 raise AssertionError(f"unreachable verb {verb!r}")
             except QueryError as err:
                 if err.code in ("overloaded", "deadline-exceeded"):
                     self.metrics.admission_rejected(err.code)
                 return error_response(
                     request_id, err.code, str(err), details=err.details
-                ), None
+                )
             except Exception as err:  # noqa: BLE001 - must not kill the handler
                 self.metrics.protocol_error("server-error")
                 return error_response(
                     request_id, "server-error",
                     f"internal error: {type(err).__name__}: {err}",
-                ), None
+                )
         finally:
             if admitted is not None:
                 self.admission.release(admitted)
@@ -718,8 +672,6 @@ class PointsToServer:
             results.append(None)
             subs.append(sub)
             slots.append(len(results) - 1)
-        # The engine answers the whole batch at once so homogeneous
-        # point lookups share a single vectorized BDD evaluation.
         answers = state.engine.query_batch(subs, deadline=deadline)
         for slot, sub, answer in zip(slots, subs, answers):
             sub_id = sub.get("id")
@@ -763,6 +715,5 @@ class PointsToServer:
         out = self.metrics.snapshot()
         out["epoch"] = state.epoch
         out["engine"] = state.engine.stats()
-        out["engine"]["wire_cache_entries"] = len(self._wire_cache)
         out["admission_control"] = self.admission.snapshot()
         return out

@@ -10,6 +10,10 @@ bigint expressions and quantification is a shift-and-mask fold —
 independent of everything the kernels share, including the serializer.
 
 Across the seeds this issues ~5k checked kernel operations per backend.
+The packed backend runs the same sequences a second time in an arena
+wider than ``_RECURSION_SAFE_VARS``, where it switches from its closure
+recursions to its explicit-stack loops; the ops still touch only the
+first 12 levels, so the same oracle applies.
 """
 
 import random
@@ -17,6 +21,7 @@ import random
 import pytest
 
 from repro.bdd import FALSE, TRUE, available_backends, create_kernel
+from repro.bdd.backends.packed import _RECURSION_SAFE_VARS, PackedBDD
 
 NV = 12
 MINTERMS = 1 << NV
@@ -92,10 +97,11 @@ def _mask_of(m, u, memo):
     return mask
 
 
-def _run(backend, seed):
-    """One seeded op sequence; returns the final truth masks (sorted)."""
+def _run(backend, seed, num_vars=NV):
+    """One seeded op sequence over levels ``0..NV-1`` of a ``num_vars``
+    wide arena; returns the node count and the final truth masks."""
     rng = random.Random(seed)
-    m = create_kernel(num_vars=NV, backend=backend)
+    m = create_kernel(num_vars=num_vars, backend=backend)
     memo = {}
     nodes = [FALSE, TRUE] + [m.var_bdd(v) for v in range(NV)]
     masks = [0, FULL] + [A1[v] for v in range(NV)]
@@ -171,3 +177,31 @@ def test_backends_build_identical_arenas(backend, seed):
     if backend == "reference":
         pytest.skip("reference is the baseline")
     assert _run(backend, seed) == _run("reference", seed)
+
+
+LOOPS = ("_apply_loop", "_ite_loop", "_exist_loop", "_relprod_loop",
+         "_replace_loop")
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_packed_stack_loops_match_truth_table_oracle(
+    backend, seed, monkeypatch
+):
+    """The explicit-stack forms run only on arenas wider than the
+    recursion-safe bound; build one so the oracle fences them too."""
+    if backend != "packed":
+        pytest.skip("only packed has a second, stack-loop form")
+
+    calls = dict.fromkeys(LOOPS, 0)
+    for name in LOOPS:
+        loop = getattr(PackedBDD, name)
+
+        def counted(self, *args, _name=name, _loop=loop, **kwargs):
+            calls[_name] += 1
+            return _loop(self, *args, **kwargs)
+
+        monkeypatch.setattr(PackedBDD, name, counted)
+    _run(backend, seed, num_vars=_RECURSION_SAFE_VARS + 1)
+    # Every stack loop ran, so the arena really was wider than the
+    # threshold, wherever the threshold now stands.
+    assert all(calls.values()), calls

