@@ -287,6 +287,11 @@ class BddKernel(ABC):
         """Drop operation caches (overflow, GC, reorder, benchmarks)."""
 
     @abstractmethod
+    def trim_caches(self) -> None:
+        """Clear-on-overflow: record the peak entry count, and clear the
+        caches (one ``cache_clears``) when they exceed ``cache_limit``."""
+
+    @abstractmethod
     def set_watchdog(self, callback: Callable[[], None], stride: int = 2048) -> None:
         """Install a cooperative check run every ``stride`` new nodes.
         The callback may raise to abort the in-flight operation; the

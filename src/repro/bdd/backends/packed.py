@@ -199,7 +199,7 @@ class PackedBDD(ReferenceBDD):
         if faults.armed:
             faults.fire("bdd.mk")
         if self.cache_limit is not None:
-            self._trim_caches()
+            self.trim_caches()
         if self._watchdog is not None:
             self._watchdog()
 

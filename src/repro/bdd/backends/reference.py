@@ -166,7 +166,7 @@ class ReferenceBDD(BddKernel):
             if faults.armed:
                 faults.fire("bdd.mk")
             if self.cache_limit is not None:
-                self._trim_caches()
+                self.trim_caches()
             if self._watchdog is not None:
                 self._watchdog()
         return node
@@ -724,7 +724,7 @@ class ReferenceBDD(BddKernel):
             + len(self._satcount_cache)
         )
 
-    def _trim_caches(self) -> None:
+    def trim_caches(self) -> None:
         """Enforce ``cache_limit``: clear-on-overflow, peak recorded."""
         entries = self.cache_entries()
         if entries > self.peak_cache_entries:

@@ -128,7 +128,6 @@ class Solver:
         # choice is recorded even if the environment later changes.
         self.backend = resolve_backend_name(backend)
         self.gc_threshold = gc_threshold
-        self.cache_limit = cache_limit
         self.trace_ops = trace_ops
         self.pass_options = PassOptions.resolve(optimize, disabled_passes)
         self.name_maps: Dict[str, List[str]] = {
@@ -671,11 +670,11 @@ class Solver:
                 roots = [deltas[p] for p in preds]
                 self._maybe_gc(extra_roots=roots)
                 deltas = dict(zip(preds, roots))
-            elif self.manager.cache_entries() > self.cache_limit:
+            else:
                 # Operation caches dominate memory on long fixpoints; the
                 # lost memoization is recomputed cheaply against the
                 # (small) deltas of later iterations.
-                self.manager.clear_caches()
+                self.manager.trim_caches()
         raise self._iteration_limit_error(stratum, limit)
 
     def _solve_stratum_naive(self, stratum: Stratum) -> None:

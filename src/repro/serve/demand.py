@@ -24,7 +24,9 @@ The evaluator owns one long-lived solver.  Derived sub-relations stay
 materialized in it between queries, so repeated or overlapping demand
 queries reuse earlier work — and because the engine (and therefore the
 evaluator) is rebuilt per serve epoch, a hot swap invalidates the whole
-demand cache atomically.
+demand cache atomically.  The solver collects its node arena and caps
+its operation cache at limits measured on demand traffic; a collection
+keeps every relation, so the reuse survives it.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ import time
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..analysis.base import load_datalog_source
-from ..bdd import BDDError
 from ..callgraph import call_graph_from_ie, number_call_graph
 from ..datalog import Solver, parse_program
 from ..datalog.ast import Atom, ProgramAST, RelationDecl, Rule, Variable
@@ -62,6 +63,37 @@ _GOALS: Tuple[Tuple[str, str], ...] = (
     ("mod", "fbff"),
     ("ref", "fbff"),
 )
+
+
+# Memory limits of the demand solver, chosen from a sweep over perfbench
+# ``demand`` (gc_threshold 100k-4M x cache_limit 100k-2M; the curve is
+# in CHANGES.md).  Uncapped, one demand epoch reaches about 280k nodes
+# and 900k op-cache entries, of which about 22k nodes are live after a
+# collection, and peaks near 180 MB RSS.  These limits hold it near
+# 80 MB at the same median latency and about 5% more tail latency; a
+# 100k cache cap saved another 12 MB but cost up to 13% tail latency.
+_GC_THRESHOLD = 150_000
+_CACHE_LIMIT = 250_000
+
+
+def _logical_order(spec: str) -> str:
+    """The logical form of a recorded physical order spec, ``"V0xV1_H0"``
+    -> ``"V_H"``.  The magic program can resolve fewer instances of a
+    domain than the compiled program did; the solver expands the logical
+    form to the instances it has, so the compile-time order carries over
+    without naming instances this program lacks."""
+    seen: Set[str] = set()
+    groups = []
+    for group in spec.split("_"):
+        names = []
+        for member in group.split("x"):
+            name = member.rstrip("0123456789")
+            if name and name not in seen:
+                seen.add(name)
+                names.append(name)
+        if names:
+            groups.append("x".join(names))
+    return "_".join(groups)
 
 
 class DemandEvaluator:
@@ -110,23 +142,16 @@ class DemandEvaluator:
             for dom in base.domains
             if dom in facts.maps
         }
-        try:
-            # Prefer the compile-time variable order; the magic rewrite
-            # can resolve fewer logical domain instances than the full
-            # program did, in which case the recorded spec no longer
-            # names this program's domains and the default order is used.
-            solver = Solver(
-                rewritten.program,
-                order_spec=meta.get("config", {}).get("order_spec"),
-                name_maps=name_maps,
-                backend=backend,
-            )
-        except BDDError:
-            solver = Solver(
-                rewritten.program,
-                name_maps=name_maps,
-                backend=backend,
-            )
+        solver = Solver(
+            rewritten.program,
+            order_spec=_logical_order(
+                meta.get("config", {}).get("order_spec") or ""
+            ),
+            name_maps=name_maps,
+            backend=backend,
+            gc_threshold=_GC_THRESHOLD,
+            cache_limit=_CACHE_LIMIT,
+        )
         for decl in rewritten.program.relations.values():
             if decl.is_input and decl.name in facts.relations:
                 solver.add_tuples(decl.name, facts.relations[decl.name])
@@ -272,11 +297,18 @@ class DemandEvaluator:
         return mod, ref
 
     def stats(self) -> Dict[str, Any]:
+        m = self.solver.manager
         return {
             "solves": self.solves,
             "solve_seconds": round(self.solve_seconds, 6),
             "seeded": {
                 name: len(seen) for name, seen in sorted(self._seeded.items())
             },
-            "nodes": self.solver.manager.node_count(),
+            # The epoch's memory: arena size and high-water mark,
+            # collections, and op-cache entries and clears.
+            "nodes": m.node_count(),
+            "peak_nodes": m.peak_nodes,
+            "gc_count": m.gc_count,
+            "cache_entries": m.cache_entries(),
+            "cache_clears": m.cache_clears,
         }

@@ -420,6 +420,18 @@ b(x) :- a(x).
         got = set(solver.relation("path").tuples())
         assert (0, 12) in got and len(got) == 12 * 13 // 2
 
+    @pytest.mark.parametrize("backend", ["reference", "packed"])
+    def test_cache_clears_counted(self, backend):
+        # The solver's between-iteration clear goes through the kernel's
+        # counted path, so SolveStats sees every clear it makes.
+        prog = parse_program(TRANSITIVE_CLOSURE)
+        solver = Solver(prog, cache_limit=1, backend=backend)
+        solver.add_tuples("edge", [(i, i + 1) for i in range(12)])
+        stats = solver.solve()
+        assert stats.cache_clears > 0
+        assert stats.cache_clears == solver.manager.cache_clears
+        assert len(set(solver.relation("path").tuples())) == 12 * 13 // 2
+
     def test_unknown_relation_raises(self):
         prog = parse_program(TRANSITIVE_CLOSURE)
         solver = Solver(prog)

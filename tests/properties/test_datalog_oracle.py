@@ -22,7 +22,9 @@ combination must reproduce it:
   recursions are rebuilt mid-sequence.
 
 Half the cases collect garbage on every semi-naive iteration, so every
-node the drivers hold across a stratum must survive a collection.
+node the drivers hold across a stratum must survive a collection.  Half
+cap the operation cache at a few entries, so the kernel clears it in
+the middle of operations and the solver clears it between iterations.
 """
 
 from __future__ import annotations
@@ -211,6 +213,8 @@ class Case:
     fault: Tuple[str, int]
     # Collect garbage on every semi-naive iteration (gc_threshold=1).
     collect: bool = False
+    # A tiny operation-cache cap (None: the solver's default).
+    cache_limit: Optional[int] = None
 
 
 @st.composite
@@ -246,7 +250,9 @@ def cases(draw) -> Case:
         st.tuples(st.just("exception"), st.integers(1, 8)),
         st.tuples(st.just("budget"), st.integers(1, 400)),
     ))
-    return Case(program, facts, edits, goals, fault, draw(st.booleans()))
+    cache_limit = draw(st.one_of(st.none(), st.integers(0, 16)))
+    return Case(program, facts, edits, goals, fault, draw(st.booleans()),
+                cache_limit)
 
 
 # ----------------------------------------------------------------------
@@ -358,8 +364,15 @@ ORACLE = settings(max_examples=20, deadline=None)
 
 
 def make_solver(ast, naive, backend, optimize, case: Case) -> Solver:
-    gc = {"gc_threshold": 1} if case.collect else {}
-    solver = Solver(ast, naive=naive, backend=backend, optimize=optimize, **gc)
+    limits = {"gc_threshold": 1} if case.collect else {}
+    if case.cache_limit is not None:
+        limits["cache_limit"] = case.cache_limit
+    solver = Solver(ast, naive=naive, backend=backend, optimize=optimize,
+                    **limits)
+    if case.cache_limit is not None:
+        # Service the kernel on every fresh node, so its cache cap runs
+        # mid-operation even on programs this small.
+        solver.manager.set_watchdog(lambda: None, stride=1)
     for rel, tuples in case.facts.items():
         solver.add_tuples(rel, sorted(tuples))
     return solver

@@ -15,6 +15,7 @@ import io
 import pytest
 
 from repro.bench.corpus import corpus_program
+from repro.bench.generator import WorkloadParams, generate_program
 from repro.ir import parse_program
 from repro.runtime import ResourceBudget, SolverTimeout, faults
 from repro.serve import (
@@ -25,6 +26,7 @@ from repro.serve import (
     QueryError,
     compile_database,
 )
+from repro.serve.demand import _logical_order
 
 from .conftest import SOURCE_V2
 
@@ -151,6 +153,46 @@ class TestCorpusIdentity:
                 got = demand_engine.query("points-to", dict(args))
                 assert got["heaps"] == want["heaps"], (spec, c)
                 assert got["demand"] is True, (spec, c)
+
+
+def test_recorded_order_in_logical_form():
+    # The magic program may resolve fewer instances of a domain (here T)
+    # than the compile that recorded the order did.
+    assert _logical_order("V0xV1_H0xH1_T0xT1xT2_C0") == "V_H_T_C"
+    assert _logical_order("V0xH0_V1xH1") == "VxH"
+    assert _logical_order("") == ""
+
+
+class TestWholeEpochIdentity:
+    """Every uncovered variable of a generated program, asked in one
+    epoch of one evaluator.  The program is large enough that the epoch
+    crosses the demand solver's collection threshold and op-cache cap,
+    so later answers are computed across collections and clears."""
+
+    def test_every_uncovered_variable(self):
+        # Uncapped, this epoch peaks near 283k nodes and 900k cache
+        # entries: well past both limits.
+        program = generate_program(WorkloadParams(
+            seed=11, layers=12, width=3, threads=2, hierarchy_groups=2,
+            subclasses=3,
+        ))
+        full = QueryEngine(compile_database(program))
+        restricted = compile_database(program, budget_class="Layers.*")
+        engine = QueryEngine(restricted)
+        specs = [
+            spec for spec in sorted(restricted.var_reps)
+            if not restricted.covers_variable(restricted.var_id(spec))
+        ]
+        assert len(specs) > 100
+        for spec in specs:
+            args = {"variable": spec}
+            got = engine.query("points-to", dict(args))
+            assert got["demand"] is True, spec
+            assert got["heaps"] == full.query("points-to", args)["heaps"], spec
+        st = engine.stats()["demand"]
+        assert st["solves"] == len(specs)
+        assert st["gc_count"] >= 1, st
+        assert st["cache_clears"] >= 1, st
 
 
 class TestAliasIdentity:
@@ -304,6 +346,15 @@ class TestObservability:
         assert snap["misses"] == 0
         assert snap["budget_exceeded"] == 0
         assert snap["latency_s"]["count"] == 2
+
+    def test_demand_memory_in_stats(self, restricted_db):
+        engine = QueryEngine(restricted_db)
+        engine.query("points-to", {"variable": "Main.main:a"})
+        st = engine.stats()["demand"]
+        for key in ("nodes", "peak_nodes", "gc_count", "cache_entries",
+                    "cache_clears"):
+            assert isinstance(st[key], int) and st[key] >= 0, key
+        assert st["peak_nodes"] >= st["nodes"] > 2
 
     def test_unavailable_counts_as_miss(self, restricted_db):
         engine = QueryEngine(restricted_db, enable_demand=False)
