@@ -57,6 +57,7 @@ stack form (it is not solver-hot).
 
 from __future__ import annotations
 
+import sys
 import weakref
 from types import FunctionType
 from typing import Dict, List, Optional
@@ -91,9 +92,12 @@ _OR = -2
 # Widest arena for which the closure-form recursion is provably safe:
 # apply/exist/rel_prod descend one level per step and may stack one
 # nested or_/exist recursion on top, so worst-case interpreter depth is
-# ~2x the variable count plus the caller's frames — comfortably inside
-# CPython's default 1000-frame limit at this bound.
-_RECURSION_SAFE_VARS = 300
+# two frames per variable plus the caller's own frames.  The bound is
+# derived from the interpreter's recursion limit at import, keeping
+# ``_CALLER_FRAMES`` of it for the caller (400 variables under CPython's
+# default limit of 1000).
+_CALLER_FRAMES = 200
+_RECURSION_SAFE_VARS = (sys.getrecursionlimit() - _CALLER_FRAMES) // 2
 
 
 def _drop_closures(hot: Dict[object, object]) -> None:

@@ -23,6 +23,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..bdd import BddKernel, Domain, FALSE
 from ..bdd.domain import offset_relation
+from ..datalog.relation import Attribute, Relation
 from .graph import CallGraph, Edge
 
 __all__ = [
@@ -115,16 +116,17 @@ class ContextNumbering:
             row = manager.and_(row, m_dom.eq_const(rng.callee))
             node = manager.or_(node, row)
         if alloc_sites:
+            site_set = Relation(
+                manager, "sites", [Attribute("site", "I", i_dom)]
+            )
             for method, sites in alloc_sites.items():
                 if not sites:
                     continue
                 k = self.num_contexts(method)
                 ident = offset_relation(c_caller, c_callee, 0, 1, k)
                 ident = manager.and_(ident, m_dom.eq_const(method))
-                site_cube = FALSE
-                for h in sites:
-                    site_cube = manager.or_(site_cube, i_dom.eq_const(h))
-                node = manager.or_(node, manager.and_(ident, site_cube))
+                sites_node = site_set.tuples_node((h,) for h in sites)
+                node = manager.or_(node, manager.and_(ident, sites_node))
         if global_site is not None:
             hi = c_caller.size - 1
             ident = offset_relation(c_caller, c_callee, 0, 0, hi)

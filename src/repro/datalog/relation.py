@@ -13,6 +13,7 @@ loop-invariant optimization of Section 2.4.1) can detect staleness.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -37,6 +38,33 @@ def bdd_size(manager: BDD, node: int) -> int:
         stack.append(manager.low(n))
         stack.append(manager.high(n))
     return count
+
+
+def _build_sorted(mk, order: List[int], keys: List[int], lo: int, hi: int,
+                  depth: int) -> int:
+    """The diagram of ``keys[lo:hi]``, which is non-empty, sorted, and
+    agrees on the bits of the levels ``order[:depth]``.  A key holds the
+    bit of ``order[d]`` at position ``len(order) - 1 - d``."""
+    width = len(order)
+    if hi - lo == 1:
+        key = keys[lo]
+        node = TRUE
+        for d in range(width - 1, depth - 1, -1):
+            if (key >> (width - 1 - d)) & 1:
+                node = mk(order[d], FALSE, node)
+            else:
+                node = mk(order[d], node, FALSE)
+        return node
+    if hi - lo == 1 << (width - depth):
+        return TRUE  # every assignment below the shared prefix
+    bit = 1 << (width - 1 - depth)
+    mid = bisect_left(keys, (keys[lo] & -(bit << 1)) | bit, lo, hi)
+    low = high = FALSE
+    if mid > lo:
+        low = _build_sorted(mk, order, keys, lo, mid, depth + 1)
+    if mid < hi:
+        high = _build_sorted(mk, order, keys, mid, hi, depth + 1)
+    return mk(order[depth], low, high)
 
 
 @dataclass(frozen=True)
@@ -104,40 +132,69 @@ class Relation:
         self.set_node(FALSE)
 
     def add_tuple(self, values: Sequence[int]) -> None:
-        self.set_node(self.manager.or_(self.node, self._tuple_node(values)))
+        self.set_node(self.manager.or_(self.node, self.tuples_node([values])))
 
     def set_tuples(self, tuples: Iterable[Sequence[int]]) -> None:
-        node = FALSE
-        for values in tuples:
-            node = self.manager.or_(node, self._tuple_node(values))
-        self.set_node(node)
+        self.set_node(self.tuples_node(tuples))
 
-    def _tuple_node(self, values: Sequence[int]) -> int:
-        if len(values) != self.arity:
-            raise BDDError(
-                f"relation {self.name}: tuple {tuple(values)} has arity "
-                f"{len(values)}, expected {self.arity}"
+    def tuples_node(self, tuples: Iterable[Sequence[int]]) -> int:
+        """The BDD of a tuple set over this relation's attributes.
+
+        Each tuple becomes one integer key whose bits follow the
+        relation's BDD levels top-down, so sorting the deduplicated keys
+        groups them by every prefix of the variable order.  The diagram
+        is then built top-down by splitting the sorted range on each
+        level's bit with ``bisect``, making nodes bottom-up through
+        ``mk``: no apply operation runs, so no operation-cache entry and
+        no intermediate diagram is left behind.  Every tuple is validated
+        before the first node is made.
+        """
+        order = sorted(self.levels())
+        width = len(order)
+        shift = {level: width - 1 - i for i, level in enumerate(order)}
+        columns = [
+            (attr, [shift[level] for level in attr.phys.levels], {})
+            for attr in self.attributes
+        ]
+        arity = self.arity
+        keys = set()
+        for values in tuples:
+            if len(values) != arity:
+                raise BDDError(
+                    f"relation {self.name}: tuple {tuple(values)} has arity "
+                    f"{len(values)}, expected {arity}"
+                )
+            key = 0
+            for (attr, shifts, memo), value in zip(columns, values):
+                # Only exact ints hit the memo: 1.0 == 1 must still fail.
+                bits = memo.get(value) if type(value) is int else None
+                if bits is None:
+                    bits = memo[value] = self._value_bits(attr, shifts, value)
+                key |= bits
+            keys.add(key)
+        if not keys:
+            return FALSE
+        return _build_sorted(
+            self.manager.mk, order, sorted(keys), 0, len(keys), 0
+        )
+
+    def _value_bits(self, attr: Attribute, shifts: List[int], value) -> int:
+        """``value``'s contribution to a tuple key; raises on bad input."""
+        phys = attr.phys
+        if not isinstance(value, int) or not 0 <= value < phys.size:
+            raise InvalidInputError(
+                f"relation {self.name}: value {value!r} for attribute "
+                f"{attr.name!r} is outside domain {attr.logical} "
+                f"(size {phys.size})",
+                predicate=self.name,
+                attribute=attr.name,
+                value=value,
             )
-        literals = []
-        for attr, value in zip(self.attributes, values):
-            if not isinstance(value, int) or not 0 <= value < attr.phys.size:
-                raise InvalidInputError(
-                    f"relation {self.name}: value {value!r} for attribute "
-                    f"{attr.name!r} is outside domain {attr.logical} "
-                    f"(size {attr.phys.size})",
-                    predicate=self.name,
-                    attribute=attr.name,
-                    value=value,
-                )
-            phys = attr.phys
-            for i, level in enumerate(phys.levels):
-                literals.append(
-                    (level, bool((value >> (phys.bits - 1 - i)) & 1))
-                )
-        # A tuple is one minterm over the concatenated attribute levels:
-        # a single cube call builds it bottom-up in one pass instead of
-        # arity-many eq_const cubes glued together with and_.
-        return self.manager.cube(literals)
+        bits = 0
+        for i, s in enumerate(shifts):
+            if (value >> (phys.bits - 1 - i)) & 1:
+                bits |= 1 << s
+        return bits
 
     # ------------------------------------------------------------------
     # Queries
@@ -178,7 +235,7 @@ class Relation:
                 yield tuple(out)
 
     def contains(self, values: Sequence[int]) -> bool:
-        probe = self._tuple_node(values)
+        probe = self.tuples_node([values])
         return self.manager.and_(probe, self.node) == probe
 
     def select(self, **constants: int) -> "Relation":

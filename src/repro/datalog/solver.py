@@ -275,14 +275,7 @@ class Solver:
 
     def add_tuples(self, name: str, tuples: Iterable[Sequence[int]]) -> None:
         rel = self.relation(name)
-        # Each tuple cube is a disjoint minterm, so any OR association
-        # yields the same canonical BDD; or_all lets the backend pick
-        # the cheapest reduction shape (balanced tree, batched sweeps).
-        nodes = [rel._tuple_node(values) for values in tuples]
-        if nodes:
-            rel.set_node(
-                self.manager.or_(rel.node, self.manager.or_all(nodes))
-            )
+        rel.set_node(self.manager.or_(rel.node, rel.tuples_node(tuples)))
 
     def set_node(self, name: str, node: int) -> None:
         """Install a pre-built BDD (e.g. the IEC relation of Algorithm 4)."""
@@ -375,11 +368,7 @@ class Solver:
         added: Dict[str, int] = {}
         for name, tuples in seeds.items():
             rel = self.relation(name)
-            nodes = [rel._tuple_node(values) for values in tuples]
-            if not nodes:
-                continue
-            node = m.or_all(nodes)
-            delta = m.diff(node, rel.node)
+            delta = m.diff(rel.tuples_node(tuples), rel.node)
             if delta == FALSE:
                 continue
             rel.set_node(m.or_(rel.node, delta))

@@ -105,12 +105,8 @@ def _editable_edits(
         if name not in solver.relations:
             continue
         rel = solver.relations[name]
-        add_node = FALSE
-        for t in applied.added(name):
-            add_node = m.or_(add_node, rel._tuple_node(t))
-        remove_node = FALSE
-        for t in applied.removed(name):
-            remove_node = m.or_(remove_node, rel._tuple_node(t))
+        add_node = rel.tuples_node(applied.added(name))
+        remove_node = rel.tuples_node(applied.removed(name))
         if remove_node != FALSE:
             rel.set_node(m.diff(rel.node, remove_node))
             dirty.add(name)
@@ -132,12 +128,8 @@ def _tuple_set_edits(
     m = solver.manager
     old_set, new_set = set(map(tuple, old)), set(map(tuple, new))
     rel = solver.relations[name]
-    add_node = FALSE
-    for t in sorted(new_set - old_set):
-        add_node = m.or_(add_node, rel._tuple_node(t))
-    remove_node = FALSE
-    for t in sorted(old_set - new_set):
-        remove_node = m.or_(remove_node, rel._tuple_node(t))
+    add_node = rel.tuples_node(new_set - old_set)
+    remove_node = rel.tuples_node(old_set - new_set)
     if remove_node != FALSE:
         rel.set_node(m.diff(rel.node, remove_node))
     if add_node != FALSE:

@@ -502,8 +502,10 @@ def package_database(
             rel = relations.get(name)
             if rel is None or not uncovered:
                 continue
-            var = rel.attribute("variable").phys
-            cut = manager.or_all([var.eq_const(v) for v in sorted(uncovered)])
+            var = rel.attribute("variable")
+            cut = Relation(manager, "uncovered", [var]).tuples_node(
+                (v,) for v in uncovered
+            )
             restricted = Relation(manager, name, rel.attributes)
             restricted.set_node(manager.diff(rel.node, cut))
             relations[name] = restricted

@@ -7,7 +7,6 @@ reached: pure additions must not recompute any stratum, and removals
 must recompute only the affected strata.
 """
 
-from repro.bdd import FALSE
 from repro.datalog import Solver, parse_program
 
 TC = """
@@ -49,10 +48,7 @@ def _add(solver, name, tuples):
     """Patch an input with new tuples; returns the added-delta node."""
     rel = solver.relation(name)
     m = solver.manager
-    node = FALSE
-    for t in tuples:
-        node = m.or_(node, rel._tuple_node(t))
-    delta = m.diff(node, rel.node)
+    delta = m.diff(rel.tuples_node(tuples), rel.node)
     rel.set_node(m.or_(rel.node, delta))
     return delta
 
@@ -60,10 +56,7 @@ def _add(solver, name, tuples):
 def _remove(solver, name, tuples):
     rel = solver.relation(name)
     m = solver.manager
-    node = FALSE
-    for t in tuples:
-        node = m.or_(node, rel._tuple_node(t))
-    rel.set_node(m.diff(rel.node, node))
+    rel.set_node(m.diff(rel.node, rel.tuples_node(tuples)))
 
 
 def _tuples(solver, name):

@@ -19,7 +19,10 @@ combination must reproduce it:
   which the next demand call with the same seeds, or the next
   :meth:`Solver.solve`, reaches the model.  A node budget that small
   also drops the watchdog stride, so the packed backend's compiled
-  recursions are rebuilt mid-sequence.
+  recursions are rebuilt mid-sequence;
+* checkpoint resume: the same faults in the middle of a full solve,
+  whose checkpoint a fresh solver under either backend loads and
+  resumes with ``solve(start_stratum)``.
 
 Half the cases collect garbage on every semi-naive iteration, so every
 node the drivers hold across a stratum must survive a collection.  Half
@@ -30,7 +33,7 @@ the middle of operations and the solver clears it between iterations.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Set, Tuple
 
 import pytest
@@ -40,6 +43,7 @@ from repro.bdd import FALSE
 from repro.datalog import Solver, parse_program
 from repro.datalog.magic import magic_rewrite
 from repro.runtime import NodeBudgetExceeded, ResourceBudget, faults
+from repro.runtime.checkpoint import checkpoint_lines, load_checkpoint_lines
 
 # ----------------------------------------------------------------------
 # Programs: generator-side representation, rendered to source text
@@ -392,11 +396,11 @@ def apply_edit(solver: Solver, adds, removes):
     for rel_name in adds:
         rel = solver.relation(rel_name)
         if removes[rel_name]:
-            gone = m.or_all([rel._tuple_node(t) for t in removes[rel_name]])
+            gone = rel.tuples_node(removes[rel_name])
             rel.set_node(m.diff(rel.node, gone))
             dirty.add(rel_name)
         if adds[rel_name]:
-            new = m.or_all([rel._tuple_node(t) for t in adds[rel_name]])
+            new = rel.tuples_node(adds[rel_name])
             delta = m.diff(new, rel.node)
             if delta != FALSE:
                 rel.set_node(m.or_(rel.node, delta))
@@ -566,6 +570,37 @@ def test_solve_resumes_after_grow_only_incremental_fault(
     solver.solve()
     want = model(program, edited(case.facts, adds, {}))
     assert_matches(solver, program, want)
+
+
+@pytest.mark.parametrize("naive,backend,optimize", DRIVERS)
+@given(case=cases(), resume_backend=st.sampled_from(["reference", "packed"]))
+@ORACLE
+def test_checkpoint_resume_matches_model(
+    naive, backend, optimize, case, resume_backend
+):
+    """Interrupt a full solve, checkpoint what it reached, and resume in
+    a fresh solver (under either backend) from the first stratum that
+    had not completed."""
+    program = case.program
+    ast = parse_program(program.text())
+    solver = make_solver(ast, naive, backend, optimize, case)
+
+    def interrupted(budget):
+        solver.budget = budget
+        try:
+            solver.solve()
+        finally:
+            solver.budget = None
+
+    _fault_then(interrupted, case.fault)
+    lines, _ = checkpoint_lines(
+        solver, next_stratum=solver.last_completed_stratum + 1
+    )
+    fresh = make_solver(ast, naive, resume_backend, optimize,
+                        replace(case, facts={}))
+    meta = load_checkpoint_lines(fresh, lines, "oracle")
+    fresh.solve(start_stratum=meta.next_stratum)
+    assert_matches(fresh, program, model(program, case.facts))
 
 
 # ----------------------------------------------------------------------

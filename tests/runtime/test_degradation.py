@@ -1,6 +1,7 @@
 """The degradation ladder: soundness, reporting, and the kill-switch demo."""
 
 import json
+import time
 
 import pytest
 
@@ -156,6 +157,27 @@ class TestLadderMiddleRungs:
             assert set(result._points_to_tuples()) == small_reference
         else:
             assert set(result._points_to_tuples()) >= small_reference
+
+    def test_reorder_attempt_times_the_whole_rung(
+        self, small_program, monkeypatch
+    ):
+        """The reorder rung's clock starts before its checkpoint and its
+        sift, so a slow sift shows in the attempt's seconds."""
+        from repro.bdd import reorder
+
+        sift_order = reorder.sift_order
+
+        def slow_sift(*args, **kwargs):
+            time.sleep(0.2)
+            return sift_order(*args, **kwargs)
+
+        monkeypatch.setattr(reorder, "sift_order", slow_sift)
+        result = ContextSensitiveAnalysis(
+            program=small_program,
+            budget=ResourceBudget(timeout=300, node_budget=2000),
+        ).run()
+        attempts = {a.mode: a for a in result.degradation.attempts}
+        assert attempts["reorder"].seconds >= 0.2
 
     def test_deadline_skips_reorder(self, small_program):
         """An expired deadline goes straight to the terminal rung — no
