@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from ..datalog import Solver, parse_program
+from ..datalog import Solver, apply_domain_sizes, parse_program
 from ..datalog.ast import ProgramAST
 from ..ir.facts import Facts, extract_facts
 from ..ir.program import Program
@@ -76,16 +76,14 @@ def make_solver(
     """
     if extra_text:
         source = source + "\n" + extra_text
-    # Parse once to learn the declared domains, then re-parse with sizes.
-    declared = parse_program(source)
-    sizes: Dict[str, int] = {}
+    program = parse_program(source)
     fact_sizes = facts.sizes
-    for dom in declared.domains:
-        if dom in fact_sizes:
-            sizes[dom] = fact_sizes[dom]
+    sizes: Dict[str, int] = {
+        dom: fact_sizes[dom] for dom in program.domains if dom in fact_sizes
+    }
     if size_overrides:
         sizes.update(size_overrides)
-    program = parse_program(source, domain_sizes=sizes)
+    apply_domain_sizes(program, sizes)
     name_maps = {dom: facts.maps[dom] for dom in program.domains if dom in facts.maps}
     name_maps.setdefault("M", facts.maps["M"])
     solver = Solver(

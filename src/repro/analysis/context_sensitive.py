@@ -312,11 +312,13 @@ class ContextSensitiveAnalysis:
         # context-insensitive baseline comes for free and doubles as the
         # ladder's last rung.
         ci_result = None
+        discovery_s = 0.0
         graph = self.call_graph
         if graph is None:
             if self.use_cha_graph:
                 graph = cha_call_graph(self.facts)
             else:
+                t0 = time.monotonic()
                 ci_result = ContextInsensitiveAnalysis(
                     facts=self.facts,
                     type_filtering=True,
@@ -325,6 +327,7 @@ class ContextSensitiveAnalysis:
                     backend=self.backend,
                     optimize=self.optimize,
                 ).run()
+                discovery_s = time.monotonic() - t0
                 graph = ci_result.discovered_call_graph
 
         ckpt_dir = self.checkpoint_dir
@@ -441,8 +444,9 @@ class ContextSensitiveAnalysis:
             # construction, and already computed when we discovered the
             # call graph ourselves.  Runs deadline-only: a node budget
             # that defeated every context-sensitive rung must not also
-            # starve the fallback.
-            t0 = time.monotonic()
+            # starve the fallback.  A discovery result is this rung's
+            # answer, so its clock starts when the discovery did.
+            t0 = time.monotonic() - discovery_s
             try:
                 if ci_result is None:
                     ci_result = ContextInsensitiveAnalysis(

@@ -190,14 +190,6 @@ class BddKernel(ABC):
         """If-then-else: ``(f AND g) OR (NOT f AND h)``, order-correct."""
 
     @abstractmethod
-    def and_all(self, nodes: Iterable[int]) -> int:
-        """Conjunction of many nodes (short-circuits on ``FALSE``)."""
-
-    @abstractmethod
-    def or_all(self, nodes: Iterable[int]) -> int:
-        """Disjunction of many nodes (short-circuits on ``TRUE``)."""
-
-    @abstractmethod
     def implies(self, a: int, b: int) -> int:
         """``a -> b`` as a BDD (used by query post-processing)."""
 
@@ -304,9 +296,40 @@ class BddKernel(ABC):
     # ------------------------------------------------------------------
     # Serialization hooks and debugging
     # ------------------------------------------------------------------
-    # var_of/low/high/mk *are* the serialize hooks: dump walks the first
-    # three, load replays through mk, so any conforming backend round-trips
-    # through repro.bdd.serialize unchanged (same canonical bytes).
+    # export_nodes/import_nodes are the serialize hooks: dump formats the
+    # first's output, load feeds the second, so any conforming backend
+    # round-trips through repro.bdd.serialize unchanged (same canonical
+    # bytes).
+
+    @abstractmethod
+    def export_nodes(
+        self, roots: Sequence[int]
+    ) -> Tuple[List[int], List[int], List[int], List[int]]:
+        """The nodes under ``roots`` in canonical order.
+
+        Returns ``(levels, lows, highs, root_ids)``.  Nodes come in DFS
+        post-order (low subtree, high subtree, node; shared nodes once)
+        and get canonical ids ``2, 3, ...`` in that order; ``lows``,
+        ``highs`` and ``root_ids`` are canonical ids (``0``/``1`` for the
+        terminals), so the result depends only on the diagrams' structure.
+        """
+
+    @abstractmethod
+    def import_nodes(
+        self,
+        levels: Sequence[int],
+        lows: Sequence[int],
+        highs: Sequence[int],
+        handles: List[int],
+    ) -> None:
+        """The bulk form of :meth:`mk`: rebuild exported nodes in order.
+
+        ``lows``/``highs`` index ``handles``, which maps canonical ids to
+        this kernel's handles (``[FALSE, TRUE, ...]``); each rebuilt
+        node's handle is appended to it.  Every part of ``mk``'s contract
+        holds: reduction, hash-consing, the level check, ``peak_nodes``
+        and the watchdog / fault-injection / cache-trim service.
+        """
 
     @abstractmethod
     def to_dot(self, u: int, name: str = "bdd") -> str:

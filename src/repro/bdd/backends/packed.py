@@ -190,6 +190,51 @@ class PackedBDD(ReferenceBDD):
             self._mk_service()
         return node
 
+    def import_nodes(self, levels, lows, highs, handles) -> None:
+        # mk with the unique-table probe inlined (the load path of every
+        # .ptdb, checkpoint and fixpoint bundle); the tick and peak are
+        # flushed before each service call and on the way out.
+        var, low, high = self._var, self._low, self._high
+        unique = self._unique
+        unique_get = unique.get
+        num_vars = self.num_vars
+        stride = self._watchdog_stride
+        tick = self._watchdog_tick
+        append = handles.append
+        try:
+            for v, lo, hi in zip(levels, lows, highs):
+                lo = handles[lo]
+                hi = handles[hi]
+                if lo == hi:
+                    append(lo)
+                    continue
+                key = (v << 54) | (lo << _SHIFT) | hi
+                r = unique_get(key)
+                if r is None:
+                    if not 0 <= v < num_vars:
+                        raise BDDError(
+                            f"variable level {v} out of range 0..{num_vars - 1}"
+                        )
+                    r = len(var)
+                    if r > _MASK:
+                        raise BDDError(f"packed backend arena exceeds {_MASK} nodes")
+                    var.append(v)
+                    low.append(lo)
+                    high.append(hi)
+                    unique[key] = r
+                    tick += 1
+                    if tick >= stride:
+                        tick = 0
+                        self._watchdog_tick = 0
+                        if r + 1 > self.peak_nodes:
+                            self.peak_nodes = r + 1
+                        self._mk_service()
+                append(r)
+        finally:
+            self._watchdog_tick = tick
+            if len(var) > self.peak_nodes:
+                self.peak_nodes = len(var)
+
     def _mk_service(self) -> None:
         """Periodic work run every ``_watchdog_stride`` fresh nodes.
 

@@ -171,6 +171,49 @@ class ReferenceBDD(BddKernel):
                 self._watchdog()
         return node
 
+    def export_nodes(
+        self, roots: Sequence[int]
+    ) -> Tuple[List[int], List[int], List[int], List[int]]:
+        var, low, high = self._var, self._low, self._high
+        canon: Dict[int, int] = {FALSE: FALSE, TRUE: TRUE}
+        levels: List[int] = []
+        lows: List[int] = []
+        highs: List[int] = []
+        for root in roots:
+            if root in canon:
+                continue
+            # The stack is a root-to-node path (a DAG has no node twice on
+            # one), so a node is done when both children have ids.
+            stack = [root]
+            while stack:
+                node = stack[-1]
+                lo = low[node]
+                if lo not in canon:
+                    stack.append(lo)
+                    continue
+                hi = high[node]
+                if hi not in canon:
+                    stack.append(hi)
+                    continue
+                stack.pop()
+                canon[node] = len(levels) + 2
+                levels.append(var[node])
+                lows.append(canon[lo])
+                highs.append(canon[hi])
+        return levels, lows, highs, [canon[root] for root in roots]
+
+    def import_nodes(
+        self,
+        levels: Sequence[int],
+        lows: Sequence[int],
+        highs: Sequence[int],
+        handles: List[int],
+    ) -> None:
+        mk = self.mk
+        append = handles.append
+        for level, lo, hi in zip(levels, lows, highs):
+            append(mk(level, handles[lo], handles[hi]))
+
     def set_watchdog(self, callback: Callable[[], None], stride: int = 2048) -> None:
         """Install a cooperative check run every ``stride`` new nodes.
 
@@ -280,30 +323,6 @@ class ReferenceBDD(BddKernel):
 
     def xor(self, a: int, b: int) -> int:
         return self._apply(_OP_XOR, a, b)
-
-    def and_all(self, nodes: Iterable[int]) -> int:
-        result = TRUE
-        for n in nodes:
-            result = self.and_(result, n)
-            if result == FALSE:
-                return FALSE
-        return result
-
-    def or_all(self, nodes: Iterable[int]) -> int:
-        # Balanced tree: pairing similar-sized operands keeps the
-        # intermediate diagrams (and apply-cache churn) small compared
-        # to a left fold over a growing accumulator.
-        ns = [n for n in nodes if n != FALSE]
-        while len(ns) > 1:
-            if TRUE in ns:
-                return TRUE
-            merged = [
-                self.or_(ns[i], ns[i + 1]) for i in range(0, len(ns) - 1, 2)
-            ]
-            if len(ns) % 2:
-                merged.append(ns[-1])
-            ns = merged
-        return ns[0] if ns else FALSE
 
     def not_(self, a: int) -> int:
         if a == FALSE:

@@ -17,15 +17,24 @@ checkpoint/resume machinery relies on.  Loading rebuilds through the
 target manager's unique table, so structure sharing (also *across*
 separately saved files loaded into one manager) is preserved.
 
+Both directions are bulk operations on the kernel: a dump formats the
+node lists of :meth:`BddKernel.export_nodes`, and a load decodes the node
+lines of a canonical payload in chunks and hands each chunk to
+:meth:`BddKernel.import_nodes`.
+
 Loading is defensive: bad magic, malformed records, dangling node
 references, out-of-range levels, duplicate ids, and truncated files (the
 ``roots`` header promises more roots than the file delivers) all raise
-:class:`BDDError` with the file name and line number.
+:class:`BDDError` with the file name and line number.  Those diagnostics
+come from the record-at-a-time loader, which also accepts the
+non-canonical forms (comments, blank lines, any id numbering).
 """
 
 from __future__ import annotations
 
 import pathlib
+from itertools import repeat
+from operator import ge
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .api import BDDError, BddKernel, FALSE, TRUE
@@ -36,6 +45,10 @@ PathLike = Union[str, pathlib.Path]
 
 _MAGIC = "# repro-bdd 1"
 
+# Node lines decoded per join/split: whole-section decoding would double
+# the loader's transient peak for no further speed.
+_CHUNK = 512
+
 
 def dump_bdd_lines(manager: BddKernel, roots: Sequence[int]) -> Tuple[List[str], int]:
     """Serialize the BDDs rooted at ``roots`` to text lines.
@@ -45,34 +58,14 @@ def dump_bdd_lines(manager: BddKernel, roots: Sequence[int]) -> Tuple[List[str],
     only on the BDD *structure*, never on manager handle values.  Shared
     subgraphs are written once.
     """
-    order: List[int] = []
-    seen = {FALSE, TRUE}
-    # Post-order so children precede parents in the file.
-    for root in roots:
-        stack = [(root, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if node in seen:
-                continue
-            if expanded:
-                seen.add(node)
-                order.append(node)
-                continue
-            stack.append((node, True))
-            stack.append((manager.high(node), False))
-            stack.append((manager.low(node), False))
-    canon: Dict[int, int] = {FALSE: FALSE, TRUE: TRUE}
-    for i, node in enumerate(order):
-        canon[node] = 2 + i
+    levels, lows, highs, root_ids = manager.export_nodes(roots)
     lines = [_MAGIC, f"vars {manager.num_vars}", f"roots {len(roots)}"]
-    for node in order:
-        lines.append(
-            f"node {canon[node]} {manager.var_of(node)} "
-            f"{canon[manager.low(node)]} {canon[manager.high(node)]}"
-        )
-    for root in roots:
-        lines.append(f"root {canon[root]}")
-    return lines, len(order)
+    lines += [
+        f"node {i} {v} {lo} {hi}"
+        for i, v, lo, hi in zip(range(2, len(levels) + 2), levels, lows, highs)
+    ]
+    lines += [f"root {r}" for r in root_ids]
+    return lines, len(levels)
 
 
 def save_bdd(manager: BddKernel, roots: Sequence[int], path: PathLike) -> int:
@@ -95,7 +88,105 @@ def parse_bdd_lines(
 
     ``name`` labels diagnostics; ``first_lineno`` is the file line number
     of ``lines[0]`` (checkpoints embed the payload mid-file).
+
+    Canonical input (what :func:`dump_bdd_lines` writes) is decoded in
+    chunks and rebuilt through :meth:`BddKernel.import_nodes`; anything
+    else goes to the record-at-a-time loader, which accepts or rejects it
+    exactly as before.  A payload that fails a check part-way is reloaded
+    from its first line there: the nodes already rebuilt are unique-table
+    hits, so the result, the arena and the error are the same.
     """
+    roots = _parse_canonical(manager, lines)
+    if roots is None:
+        roots = _parse_line_by_line(manager, lines, name, first_lineno)
+    return roots
+
+
+def _header_value(line: str, kind: str) -> int:
+    """The integer of a canonical ``"<kind> <n>"`` line, or -1."""
+    parts = line.split(" ")
+    if len(parts) != 2 or parts[0] != kind:
+        return -1
+    try:
+        return int(parts[1])
+    except ValueError:
+        return -1
+
+
+def _parse_canonical(manager: BddKernel, lines: Sequence[str]) -> Optional[List[int]]:
+    """Load a canonical payload in bulk; ``None`` if it is not canonical.
+
+    Canonical means: the magic line, ``vars``, ``roots``, then node ids
+    2, 3, ... in order with single-space fields, each child a terminal or
+    an earlier id, each level inside ``vars``, then exactly the declared
+    ``root`` records, each naming a terminal or a node.  Each chunk of
+    node lines is decoded with one join and one split, validated as a
+    whole, and only then rebuilt.
+    """
+    if len(lines) < 3 or lines[0] != _MAGIC:
+        return None
+    num_vars = _header_value(lines[1], "vars")
+    num_roots = _header_value(lines[2], "roots")
+    if not 0 <= num_vars <= manager.num_vars or num_roots < 0:
+        return None
+    end = len(lines) - num_roots
+    if end < 3:
+        return None
+    handles = [FALSE, TRUE]
+    for start in range(3, end, _CHUNK):
+        chunk = lines[start:min(start + _CHUNK, end)]
+        count = len(chunk)
+        first = len(handles)
+        ids = range(first, first + count)
+        fields = " ".join(chunk).split(" ")
+        # Every line starts with a "node" field and only every fifth
+        # field may be one (the others must parse as ints), so each line
+        # holds exactly one five-field record.
+        if len(fields) != 5 * count or not all(
+            map(str.startswith, chunk, repeat("node "))
+        ):
+            return None
+        try:
+            if list(map(int, fields[1::5])) != list(ids):
+                return None
+            levels = list(map(int, fields[2::5]))
+            lows = list(map(int, fields[3::5]))
+            highs = list(map(int, fields[4::5]))
+        except ValueError:
+            return None
+        if (
+            min(levels) < 0
+            or max(levels) >= num_vars
+            or min(lows) < 0
+            or min(highs) < 0
+            or any(map(ge, lows, ids))
+            or any(map(ge, highs, ids))
+        ):
+            return None
+        manager.import_nodes(levels, lows, highs, handles)
+    tail = lines[end:]
+    fields = " ".join(tail).split(" ") if tail else []
+    if len(fields) != 2 * num_roots or not all(
+        map(str.startswith, tail, repeat("root "))
+    ):
+        return None
+    try:
+        root_ids = list(map(int, fields[1::2]))
+    except ValueError:
+        return None
+    if root_ids and not 0 <= min(root_ids) <= max(root_ids) < len(handles):
+        return None
+    return [handles[r] for r in root_ids]
+
+
+def _parse_line_by_line(
+    manager: BddKernel,
+    lines: Sequence[str],
+    name: str,
+    first_lineno: int,
+) -> List[int]:
+    """The record-at-a-time loader: accepts comments, blank lines and any
+    id numbering, and is the source of every diagnostic."""
     if not lines or lines[0].strip() != _MAGIC:
         raise BDDError(
             f"{name}:{first_lineno}: not a repro-bdd file (bad or missing "

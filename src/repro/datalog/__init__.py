@@ -37,7 +37,7 @@ from .ast import (
 )
 from .compiler import compile_rule, instance_requirements
 from .explain import Derivation, explain, format_derivation
-from .parser import parse_program
+from .parser import apply_domain_sizes, parse_program
 from .passes import PASS_NAMES, PassOptions, run_pipeline
 from .plan import (
     HoistedSlot,
@@ -78,6 +78,7 @@ __all__ = [
     "NamedConst",
     "NumberConst",
     "ProgramAST",
+    "apply_domain_sizes",
     "compile_rule",
     "explain",
     "format_derivation",

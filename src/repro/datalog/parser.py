@@ -316,10 +316,20 @@ def parse_program(
     if pending_rule:
         raise DatalogError(f"line {pending_start}: unterminated rule at end of file")
     if domain_sizes:
-        for name, size in domain_sizes.items():
-            if name not in program.domains:
-                raise DatalogError(f"domain size override for unknown domain {name}")
-            old = program.domains[name]
-            program.domains[name] = DomainDecl(old.name, size, old.map_file)
+        apply_domain_sizes(program, domain_sizes)
     program.validate()
     return program
+
+
+def apply_domain_sizes(program: ProgramAST, domain_sizes: Dict[str, int]) -> None:
+    """Override declared domain sizes in place (see :func:`parse_program`).
+
+    Validation never reads sizes, so a caller can parse once, look at the
+    declared domains, and size them afterwards.  Unknown domains raise
+    :class:`DatalogError`.
+    """
+    for name, size in domain_sizes.items():
+        if name not in program.domains:
+            raise DatalogError(f"domain size override for unknown domain {name}")
+        old = program.domains[name]
+        program.domains[name] = DomainDecl(old.name, size, old.map_file)

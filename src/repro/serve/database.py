@@ -89,6 +89,16 @@ def facts_digest(facts: Facts) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+@dataclass(frozen=True)
+class _Payload:
+    """A dumped BDD payload: its text and what the envelope says of it."""
+
+    text: str
+    line_count: int
+    node_count: int
+    digest: str
+
+
 class PointsToDatabase:
     """An in-memory points-to database, loadable from / savable to ``.ptdb``.
 
@@ -144,6 +154,8 @@ class PointsToDatabase:
         }
         self._indexes: Dict[str, Dict[str, int]] = {}
         self._uncovered_vars: Optional[Set[int]] = None
+        # (key, payload) of the last dump; see :meth:`_payload`.
+        self._dumped: Optional[Tuple[tuple, _Payload]] = None
 
     # ------------------------------------------------------------------
     # Lookup helpers
@@ -241,20 +253,36 @@ class PointsToDatabase:
         Same durability discipline as the checkpoint writer: temp file in
         the target directory, fsync, rename, directory fsync.
         """
-        schema = self.meta["relations"]
-        roots = [self.relations[entry["name"]].node for entry in schema]
-        payload, node_count = dump_bdd_lines(self.manager, roots)
-        payload_text = "\n".join(payload)
-        digest = hashlib.sha256(payload_text.encode()).hexdigest()
+        payload = self._payload()
         lines = [
             _MAGIC,
             "meta " + json.dumps(self.meta, sort_keys=True, separators=(",", ":")),
-            f"sha256 {digest}",
-            f"payload {len(payload)}",
-            payload_text,
+            f"sha256 {payload.digest}",
+            f"payload {payload.line_count}",
+            payload.text,
         ]
         self.path = atomic_write_text(path, "\n".join(lines) + "\n")
-        return node_count
+        return payload.node_count
+
+    def _payload(self) -> "_Payload":
+        """The serialized BDD payload, dumped at most once per state.
+
+        The database shares its relations with the solver that produced
+        it, so a dump is reused only while every root handle and the
+        arena's ``gc_count`` (garbage collection renumbers handles) are
+        what they were when it was taken.
+        """
+        roots = tuple(
+            self.relations[entry["name"]].node for entry in self.meta["relations"]
+        )
+        key = (self.manager, self.manager.gc_count, roots)
+        if self._dumped is None or self._dumped[0] != key:
+            lines, node_count = dump_bdd_lines(self.manager, roots)
+            text = "\n".join(lines)
+            self._dumped = key, _Payload(
+                text, len(lines), node_count, hashlib.sha256(text.encode()).hexdigest()
+            )
+        return self._dumped[1]
 
     @classmethod
     def load(
@@ -582,19 +610,18 @@ def package_database(
         meta["config"]["budget_class"] = budget_class
     if provenance is not None:
         meta["provenance"] = provenance
-    # The in-memory db_id must match what a later load computes, so it is
-    # derived the same way: meta + payload digest.
-    payload, _ = dump_bdd_lines(
-        cs_solver.manager, [relations[e["name"]].node for e in schema]
-    )
-    digest = hashlib.sha256("\n".join(payload).encode()).hexdigest()
-    return PointsToDatabase(
+    db = PointsToDatabase(
         manager=cs_solver.manager,
         relations=relations,
         maps=facts.maps,
         meta=meta,
-        db_id=_db_id(meta, digest),
+        db_id="",
     )
+    # The in-memory db_id must match what a later load computes, so it is
+    # derived the same way: meta + payload digest.  save() writes the same
+    # dump unless the relations move on first.
+    db.db_id = _db_id(meta, db._payload().digest)
+    return db
 
 
 def compile_database_with_state(

@@ -36,7 +36,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..analysis.base import load_datalog_source
 from ..callgraph import call_graph_from_ie, number_call_graph
-from ..datalog import Solver, parse_program
+from ..datalog import Solver, apply_domain_sizes, parse_program
 from ..datalog.ast import Atom, ProgramAST, RelationDecl, Rule, Variable
 from ..datalog.magic import magic_rewrite
 from ..datalog.relation import Relation
@@ -126,14 +126,14 @@ class DemandEvaluator:
                 f"with a non-default context policy"
             )
         source = load_datalog_source("algorithm5", ["query_modref"])
-        declared = parse_program(source)
+        base = parse_program(source)
         sizes = {
             dom: facts.sizes[dom]
-            for dom in declared.domains
+            for dom in base.domains
             if dom in facts.sizes
         }
         sizes["C"] = numbering.context_domain_size()
-        base = parse_program(source, domain_sizes=sizes)
+        apply_domain_sizes(base, sizes)
         self._add_vp_projection(base)
         rewritten = magic_rewrite(base, _GOALS)
         self._goals = rewritten.goals

@@ -1,5 +1,7 @@
 """Unit tests for the BDD kernel."""
 
+from functools import reduce
+
 import pytest
 
 from repro.bdd import BDD, BDDError, FALSE, TRUE
@@ -112,19 +114,13 @@ class TestConnectives:
         manual = mgr.or_(mgr.and_(f, g), mgr.and_(mgr.not_(f), h))
         assert ite == manual
 
-    def test_and_all_or_all(self, mgr):
+    def test_and_or_folds(self, mgr):
         xs = [mgr.var_bdd(i) for i in range(4)]
-        conj = mgr.and_all(xs)
-        disj = mgr.or_all(xs)
+        conj = reduce(mgr.and_, xs, TRUE)
+        disj = reduce(mgr.or_, xs, FALSE)
         for a in all_assignments(4):
             assert eval_bdd(mgr, conj, a) == all(a[i] for i in range(4))
             assert eval_bdd(mgr, disj, a) == any(a[i] for i in range(4))
-
-    def test_and_all_empty_is_true(self, mgr):
-        assert mgr.and_all([]) == TRUE
-
-    def test_or_all_empty_is_false(self, mgr):
-        assert mgr.or_all([]) == FALSE
 
     def test_canonicity(self, mgr):
         # Two different constructions of the same function share a node.
@@ -152,7 +148,7 @@ class TestQuantification:
         assert mgr.exist(f, mgr.varset([])) == f
 
     def test_exist_multiple(self, mgr):
-        f = mgr.and_all([mgr.var_bdd(0), mgr.var_bdd(3), mgr.var_bdd(5)])
+        f = reduce(mgr.and_, [mgr.var_bdd(0), mgr.var_bdd(3), mgr.var_bdd(5)])
         g = mgr.exist(f, mgr.varset([0, 5]))
         assert g == mgr.var_bdd(3)
 
@@ -187,10 +183,10 @@ class TestReplace:
         assert g == mgr.and_(mgr.var_bdd(5), mgr.nvar_bdd(3))
 
     def test_replace_block_shift(self, mgr):
-        f = mgr.and_all([mgr.var_bdd(0), mgr.var_bdd(1), mgr.nvar_bdd(2)])
+        f = reduce(mgr.and_, [mgr.var_bdd(0), mgr.var_bdd(1), mgr.nvar_bdd(2)])
         mid = mgr.replace_map({0: 3, 1: 4, 2: 5})
         g = mgr.replace(f, mid)
-        expected = mgr.and_all([mgr.var_bdd(3), mgr.var_bdd(4), mgr.nvar_bdd(5)])
+        expected = reduce(mgr.and_, [mgr.var_bdd(3), mgr.var_bdd(4), mgr.nvar_bdd(5)])
         assert g == expected
 
     def test_replace_rejects_non_injective(self, mgr):

@@ -179,6 +179,26 @@ class TestLadderMiddleRungs:
         attempts = {a.mode: a for a in result.degradation.attempts}
         assert attempts["reorder"].seconds >= 0.2
 
+    def test_context_insensitive_attempt_times_the_discovery(
+        self, small_program, monkeypatch
+    ):
+        """The call-graph discovery runs before the first rung, and the
+        last rung reuses its result, so that attempt carries its time."""
+        run = ContextInsensitiveAnalysis.run
+
+        def slow_run(self):
+            time.sleep(0.2)
+            return run(self)
+
+        monkeypatch.setattr(ContextInsensitiveAnalysis, "run", slow_run)
+        result = ContextSensitiveAnalysis(
+            program=small_program,
+            budget=ResourceBudget(timeout=300, node_budget=2000),
+        ).run()
+        last = result.degradation.attempts[-1]
+        assert last.mode == "context_insensitive"
+        assert last.seconds >= 0.2
+
     def test_deadline_skips_reorder(self, small_program):
         """An expired deadline goes straight to the terminal rung — no
         checkpoint/sift detour that cannot finish anyway."""

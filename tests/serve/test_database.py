@@ -41,6 +41,44 @@ class TestRoundTrip:
         compiled_db.save(tmp_path / "x.ptdb")
         assert [p.name for p in tmp_path.iterdir()] == ["x.ptdb"]
 
+    def test_compile_dumps_the_payload_once(self, program, tmp_path, monkeypatch):
+        """The dump package_database takes for the db_id is what save()
+        writes; a save after the relations or the arena moved dumps again."""
+        from repro.bdd import FALSE
+        from repro.serve import database
+
+        dumps = []
+        dump = database.dump_bdd_lines
+
+        def counting(*args, **kwargs):
+            dumps.append(args)
+            return dump(*args, **kwargs)
+
+        monkeypatch.setattr(database, "dump_bdd_lines", counting)
+        db = compile_database(program, source_path="serve-test.mj")
+        db.save(tmp_path / "once.ptdb")
+        assert len(dumps) == 1
+        assert PointsToDatabase.load(tmp_path / "once.ptdb").db_id == db.db_id
+
+        # Garbage collection renumbers handles: the next save re-dumps,
+        # and the bytes still describe the same relations.
+        rels = list(db.relations.values())
+        mapping = db.manager.collect_garbage([r.node for r in rels])
+        for rel in rels:
+            rel.set_node(mapping[rel.node])
+        db.save(tmp_path / "after-gc.ptdb")
+        assert len(dumps) == 2
+        assert (tmp_path / "after-gc.ptdb").read_text().split("\n")[2:] == (
+            (tmp_path / "once.ptdb").read_text().split("\n")[2:]
+        )
+
+        # A relation the database shares with its solver moves on.
+        db.relations["vP"].set_node(FALSE)
+        db.save(tmp_path / "edited.ptdb")
+        assert len(dumps) == 3
+        edited = PointsToDatabase.load(tmp_path / "edited.ptdb")
+        assert not list(edited.relation("vP").tuples())
+
     def test_facts_digest_is_deterministic(self, program):
         from repro.ir.facts import extract_facts
 
