@@ -8,15 +8,12 @@ relations, and wraps the solved relations in a result object.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Set, Tuple
 
 from ..datalog import Solver, apply_domain_sizes, parse_program
-from ..datalog.ast import ProgramAST
-from ..ir.facts import Facts, extract_facts
-from ..ir.program import Program
+from ..ir.facts import Facts
 from ..runtime import (
     DegradationReport,
     IterationLimitExceeded,
@@ -31,7 +28,6 @@ __all__ = [
     "load_datalog_source",
     "make_solver",
     "AnalysisResult",
-    "improved_order_spec",
     "outcome_of",
 ]
 
@@ -113,37 +109,6 @@ def outcome_of(err: ReproError) -> str:
     if isinstance(err, IterationLimitExceeded):
         return "iteration_limit"
     return "error"
-
-
-def improved_order_spec(solver: Solver, max_nodes: int = 2_000_000) -> str:
-    """One round of block sifting over the solver's live relations.
-
-    The groups of the solver's current order spec (interleaved domain
-    blocks like ``C0xC1``) move as units; the best permutation found
-    becomes the new spec.  Sifting rebuilds the relations once per
-    candidate position, so it is skipped (returning the current spec)
-    when the arena is too large for that to be worth it.
-    """
-    from ..bdd.reorder import sift_order
-
-    if solver.manager.node_count() > max_nodes:
-        return solver.order_spec
-    groups = solver.order_spec.split("_")
-    by_name = {dom.name: dom for dom in solver._pool.values()}
-    blocks: Dict[str, List[int]] = {}
-    for group in groups:
-        levels: List[int] = []
-        for member in group.split("x"):
-            levels.extend(by_name[member].levels)
-        blocks[group] = sorted(levels)
-    roots = [rel.node for rel in solver.relations.values()]
-    try:
-        best_order, _ = sift_order(
-            solver.manager, roots, blocks, groups, max_rounds=1
-        )
-    except Exception:
-        return solver.order_spec
-    return "_".join(best_order)
 
 
 @dataclass

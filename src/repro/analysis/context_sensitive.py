@@ -44,7 +44,6 @@ from ..runtime import (
 from .base import (
     AnalysisError,
     AnalysisResult,
-    improved_order_spec,
     load_datalog_source,
     make_solver,
     outcome_of,
@@ -199,7 +198,7 @@ class ContextSensitiveAnalysis:
         blowup runs to completion or the process dies with it.  A
         governed run never escapes with a raw resource fault while a
         cheaper sound configuration remains: it walks the degradation
-        ladder (full → reorder-and-resume → k-truncated contexts →
+        ladder (full → checkpoint-resume → k-truncated contexts →
         context-insensitive) and flags the result ``degraded=True`` with
         a :class:`DegradationReport` when the first rung did not produce
         the answer.  With ``degrade=False`` the budget is enforced but
@@ -366,8 +365,9 @@ class ContextSensitiveAnalysis:
                 )
                 first_err = err
 
-            # Rung 2: retry-with-reorder.  Only worth it after a node
-            # blowup — sifting cannot buy back an expired deadline.
+            # Rung 2: resume from a checkpoint in a fresh arena.  Only
+            # worth it after a node blowup: an arena that holds just the
+            # checkpointed relations saves nodes, not time.
             if isinstance(first_err, NodeBudgetExceeded) and not budget.expired():
                 t0 = time.monotonic()
                 path = pathlib.Path(ckpt_dir) / "context_sensitive.ckpt"
@@ -376,10 +376,9 @@ class ContextSensitiveAnalysis:
                     solver, path, next_stratum=resume_from,
                     extra_meta={"reason": outcome_of(first_err)},
                 )
-                new_spec = improved_order_spec(solver)
                 del solver
                 retry = self._build_solver(
-                    numbering, graph, new_spec,
+                    numbering, graph, self.order_spec,
                     budget=budget.share_deadline(
                         node_budget=budget.node_budget,
                         max_iterations=budget.max_iterations,
@@ -387,24 +386,25 @@ class ContextSensitiveAnalysis:
                     install=False,
                 )
                 meta = load_checkpoint(retry, path)
+                detail = f"stratum={meta.next_stratum}"
                 try:
                     retry.solve(start_stratum=meta.next_stratum)
                     report.record(
-                        Attempt("reorder", "ok", time.monotonic() - t0,
-                                retry.manager.peak_nodes,
-                                detail=f"order={new_spec}")
+                        Attempt("resume", "ok", time.monotonic() - t0,
+                                retry.manager.peak_nodes, detail=detail)
                     )
                     report.degraded = True
-                    report.final_mode = "reorder"
+                    report.final_mode = "resume"
                     return self._wrap_result(
                         retry, numbering, graph, time.monotonic() - start,
                         degraded=True, report=report,
                     )
                 except ReproError as err:
                     report.record(
-                        Attempt("reorder", outcome_of(err),
+                        Attempt("resume", outcome_of(err),
                                 time.monotonic() - t0,
-                                retry.manager.peak_nodes, detail=str(err))
+                                retry.manager.peak_nodes,
+                                detail=f"{detail}: {err}")
                     )
                     del retry
 

@@ -10,7 +10,7 @@ construct kernels with
 ``REPRO_BDD_BACKEND`` plumbing documented in ``docs/kernel.md``.  See
 :mod:`repro.bdd.domain` for finite domains (including the paper's
 contiguous-range and add-constant primitives) and
-:mod:`repro.bdd.ordering` for order specs and the empirical order search.
+:mod:`repro.bdd.ordering` for order specs.
 
 ``repro.bdd.BDD`` resolves lazily (PEP 562) to the kernel class selected
 by ``REPRO_BDD_BACKEND``, so the whole test suite — and any legacy call
@@ -29,8 +29,8 @@ from .api import (
     resolve_backend_name,
 )
 from .domain import Domain, bits_for, equality_relation, offset_relation
-from .ordering import assign_levels, candidate_orders, parse_order, search_order
-from .reorder import count_nodes_under_order, rebuild_with_levels, sift_order
+from .ordering import assign_levels, parse_order
+from .reorder import rebuild_with_levels
 from .serialize import load_bdd, save_bdd
 
 __all__ = [
@@ -49,14 +49,10 @@ __all__ = [
     "equality_relation",
     "offset_relation",
     "assign_levels",
-    "candidate_orders",
-    "count_nodes_under_order",
     "load_bdd",
     "parse_order",
     "rebuild_with_levels",
     "save_bdd",
-    "search_order",
-    "sift_order",
 ]
 
 

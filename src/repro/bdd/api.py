@@ -7,8 +7,8 @@ reaches into the kernel's node tables.  This module is that seam for the
 reproduction:
 
 * :class:`BddKernel` — the documented abstract interface every backend
-  implements.  The datalog solver, relations, serializer, checkpointing,
-  reorder search, and the serve engine talk **only** to this surface
+  implements.  The datalog solver, relations, serializer, checkpointing
+  and the serve engine talk **only** to this surface
   (enforced by ``tests/bdd/test_api_boundary.py``).
 * a **backend registry** — named factories resolved lazily by module
   path, so importing :mod:`repro.bdd` never pays for backends it does
@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import importlib
 import os
-import sys
 from abc import ABC, abstractmethod
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -53,7 +52,6 @@ __all__ = [
     "FALSE",
     "TRUE",
     "available_backends",
-    "backend_env_var",
     "create_kernel",
     "get_backend_class",
     "register_backend",
@@ -73,18 +71,13 @@ class BDDError(Exception):
     """Raised on structurally invalid BDD operations."""
 
 
-def backend_env_var() -> str:
-    """Name of the environment variable selecting the default backend."""
-    return BACKEND_ENV_VAR
-
-
 class BddKernel(ABC):
     """The kernel contract: a shared, reduced, ordered BDD node arena.
 
     Nodes are integer handles; handle ``0`` is the ``FALSE`` terminal and
     ``1`` is ``TRUE``.  Variables are identified directly by their
-    *level* (smaller level = closer to the root); reordering is performed
-    by rebuilding under a new level assignment (:mod:`repro.bdd.reorder`).
+    *level* (smaller level = closer to the root); a change of order is a
+    rebuild under a new level assignment (:mod:`repro.bdd.reorder`).
 
     Implementations must be *canonical*: structurally equal functions
     under the same variable order share one handle, and two backends
@@ -276,7 +269,7 @@ class BddKernel(ABC):
 
     @abstractmethod
     def clear_caches(self) -> None:
-        """Drop operation caches (overflow, GC, reorder, benchmarks)."""
+        """Drop operation caches (overflow, GC, rebuilds, benchmarks)."""
 
     @abstractmethod
     def trim_caches(self) -> None:

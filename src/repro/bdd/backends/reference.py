@@ -10,10 +10,9 @@ property suite compare the optimized ``packed`` backend against.
 Nodes are stored in parallel arrays indexed by integer handles; handle
 ``0`` is the ``FALSE`` terminal and handle ``1`` is ``TRUE``.  Variables
 are identified directly by their *level*: a smaller level is closer to
-the root.  Reordering experiments are performed by re-assigning the
-levels of finite-domain bits (see :mod:`repro.bdd.ordering`) and
-rebuilding, exactly as bddbddb restarts with a fresh order during its
-order search.
+the root.  A different order means re-assigning the levels of
+finite-domain bits (see :mod:`repro.bdd.ordering`) and rebuilding, as
+bddbddb restarts with a fresh order during its offline order search.
 """
 
 from __future__ import annotations
@@ -753,7 +752,7 @@ class ReferenceBDD(BddKernel):
             self.cache_clears += 1
 
     def clear_caches(self) -> None:
-        """Drop operation caches (overflow, GC, reorder, benchmarks)."""
+        """Drop operation caches (overflow, GC, rebuilds, benchmarks)."""
         entries = self.cache_entries()
         if entries > self.peak_cache_entries:
             self.peak_cache_entries = entries

@@ -1,4 +1,4 @@
-"""Variable-ordering specifications and empirical order search.
+"""Variable-ordering specifications.
 
 bddbddb describes variable orders with strings such as::
 
@@ -11,20 +11,20 @@ a group are *interleaved* bit-by-bit.  Interleaving related attributes
 BDD share structure across contexts — the paper's Section 2.4.2 example of
 why ordering matters.
 
-The paper also notes that finding the best order is NP-complete and that
+The paper notes that finding the best order is NP-complete and that
 bddbddb "automatically explores different alternatives empirically to find
-an effective ordering"; :func:`search_order` is that tool in miniature.
+an effective ordering" offline, then ships the order it found.  Here each
+solver takes one fixed order spec (by default
+:meth:`repro.datalog.solver.Solver.default_order_spec`) and keeps it.
 """
 
 from __future__ import annotations
 
-import itertools
-import time
-from typing import Callable, Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List
 
 from .api import BDDError
 
-__all__ = ["parse_order", "assign_levels", "candidate_orders", "search_order"]
+__all__ = ["parse_order", "assign_levels"]
 
 
 def parse_order(spec: str) -> List[List[str]]:
@@ -87,67 +87,3 @@ def assign_levels(spec: str, domain_bits: Dict[str, int]) -> Dict[str, List[int]
                 still.append((name, it))
             active = still
     return levels
-
-
-def candidate_orders(
-    domain_names: Sequence[str],
-    interleave_pairs: Sequence[Tuple[str, str]] = (),
-    max_candidates: int = 12,
-) -> List[str]:
-    """Generate a small set of plausible order specs to try empirically.
-
-    ``interleave_pairs`` lists domains that are joined/renamed against each
-    other frequently (e.g. ``("V0", "V1")``); candidates always interleave
-    them.  The remaining variation is the relative order of the groups.
-    """
-    paired = {}
-    for a, b in interleave_pairs:
-        paired.setdefault(a, []).append(b)
-    grouped: List[str] = []
-    used = set()
-    for name in domain_names:
-        if name in used:
-            continue
-        members = [name] + [b for b in paired.get(name, []) if b not in used]
-        used.update(members)
-        grouped.append("x".join(members))
-    candidates = []
-    base = "_".join(grouped)
-    candidates.append(base)
-    candidates.append("_".join(reversed(grouped)))
-    for perm in itertools.permutations(grouped):
-        spec = "_".join(perm)
-        if spec not in candidates:
-            candidates.append(spec)
-        if len(candidates) >= max_candidates:
-            break
-    return candidates
-
-
-def search_order(
-    run: Callable[[str], float],
-    candidates: Iterable[str],
-    budget_seconds: float = 60.0,
-) -> Tuple[str, Dict[str, float]]:
-    """Empirically pick the fastest order.
-
-    ``run`` executes the workload under a given order spec and returns its
-    cost (seconds, BDD nodes — anything comparable).  Candidates are tried
-    until the time budget is exhausted; the best seen wins.  This is the
-    miniature counterpart of bddbddb's FindBestOrder.
-    """
-    results: Dict[str, float] = {}
-    best_spec = None
-    best_cost = float("inf")
-    deadline = time.monotonic() + budget_seconds
-    for spec in candidates:
-        cost = run(spec)
-        results[spec] = cost
-        if cost < best_cost:
-            best_cost = cost
-            best_spec = spec
-        if time.monotonic() > deadline:
-            break
-    if best_spec is None:
-        raise BDDError("search_order: no candidates evaluated")
-    return best_spec, results

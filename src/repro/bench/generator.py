@@ -54,9 +54,6 @@ class WorkloadParams:
     use_statics: bool = False     # per-layer static caches (global traffic)
     use_clinit: bool = False      # a class initializer entry point
 
-    def name_hint(self) -> str:
-        return f"w{self.seed}_l{self.layers}x{self.width}"
-
 
 def generate_program(params: WorkloadParams) -> Program:
     """Build a closed, validated program from ``params``."""

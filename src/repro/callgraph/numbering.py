@@ -71,9 +71,6 @@ class ContextNumbering:
         """The paper's "C.S. Paths" statistic: the largest clone count."""
         return max(self.exact_counts.values(), default=1)
 
-    def total_paths(self) -> int:
-        return sum(self.exact_counts.values())
-
     def context_domain_size(self) -> int:
         """Required size of the C domain (context 0 stays unused)."""
         return max(self.counts.values(), default=1) + 1

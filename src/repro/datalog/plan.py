@@ -35,7 +35,6 @@ from typing import (
     Iterable,
     List,
     Optional,
-    Sequence,
     Set,
     Tuple,
 )
@@ -379,14 +378,6 @@ class RulePlan:
         # The assign-domains pass compares its coloring against this to
         # skip re-lowering plans the greedy choice already matches.
         self.var_targets: Dict[str, PhysRef] = {}
-
-    def result_op(self) -> Op:
-        if not self.ops:
-            raise DatalogError(f"plan for {self.rule} has no ops")
-        return self.ops[-1]
-
-    def count_kind(self, kind: str) -> int:
-        return sum(1 for op in self.ops if op.kind == kind)
 
     def phys_refs(self) -> Set[PhysRef]:
         """All physical domains this plan touches (for pool sizing)."""

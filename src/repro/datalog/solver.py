@@ -264,9 +264,6 @@ class Solver:
             groups.append("x".join(f"{logical}{i}" for i in range(count)))
         return "_".join(groups)
 
-    def phys_domain(self, logical: str, instance: int = 0) -> Domain:
-        return self._pool[(logical, instance)]
-
     def relation(self, name: str) -> Relation:
         rel = self.relations.get(name)
         if rel is None:

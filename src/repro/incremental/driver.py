@@ -36,7 +36,7 @@ from __future__ import annotations
 import pathlib
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Dict, Optional, Sequence, Set, Tuple, Union
 
 from ..bdd import FALSE
 from ..callgraph import call_graph_from_ie
@@ -49,7 +49,6 @@ from .fixpoint import (
     FixpointError,
     bundle_path_for,
     load_fixpoint_bundle,
-    write_fixpoint_bundle,
 )
 from .state import AppliedDiff, FactSet
 
@@ -174,9 +173,11 @@ def recompile_database(
         "diff_sha256": resolved.sha256(),
         "edit": resolved.summary(),
     }
-    modref = bool(db.meta.get("config", {}).get("modref", True))
+    config = db.meta.get("config", {})
+    modref = bool(config.get("modref", True))
     main = db.meta.get("program", {}).get("main", "Main")
-    order_spec = db.meta.get("config", {}).get("order_spec")
+    order_spec = config.get("order_spec")
+    budget_class = config.get("budget_class")
 
     new_facts: FactSet
     applied: Optional[AppliedDiff]
@@ -202,13 +203,15 @@ def recompile_database(
     if bundle is None:
         return _cold_recompile(
             db, new_facts, provenance,
-            modref=modref, main=main, backend=backend, budget=budget,
+            modref=modref, main=main, order_spec=order_spec,
+            budget_class=budget_class, backend=backend, budget=budget,
             optimize=optimize,
         )
     return _warm_recompile(
         db, bundle, base_facts, new_facts, applied, provenance,
-        modref=modref, main=main, order_spec=order_spec, backend=backend,
-        budget=budget, optimize=optimize,
+        modref=modref, main=main, order_spec=order_spec,
+        budget_class=budget_class, backend=backend, budget=budget,
+        optimize=optimize,
     )
 
 
@@ -231,7 +234,7 @@ def _find_bundle(db, fixpoint_path) -> Optional[FixpointBundle]:
 
 
 def _cold_recompile(
-    db, new_facts, provenance, *, modref, main,
+    db, new_facts, provenance, *, modref, main, order_spec, budget_class,
     backend, budget, optimize,
 ) -> RecompileResult:
     from ..serve.database import compile_database_with_state
@@ -242,6 +245,8 @@ def _cold_recompile(
         facts=new_facts,
         main=main,
         modref=modref,
+        budget_class=budget_class,
+        order_spec=order_spec,
         budget=budget,
         backend=backend,
         optimize=optimize,
@@ -259,7 +264,7 @@ def _cold_recompile(
 
 def _warm_recompile(
     db, bundle, base_facts, new_facts, applied, provenance, *,
-    modref, main, order_spec, backend, budget, optimize,
+    modref, main, order_spec, budget_class, backend, budget, optimize,
 ) -> RecompileResult:
     from ..analysis.base import load_datalog_source, make_solver
     from ..analysis.context_sensitive import ContextSensitiveAnalysis
@@ -414,7 +419,7 @@ def _warm_recompile(
         max_paths=max_paths,
         thread_sites=thread_sites,
         modref=modref,
-        budget_class=db.meta.get("config", {}).get("budget_class"),
+        budget_class=budget_class,
         main=main,
         timings=timings,
         provenance=dict(provenance, modes=modes),

@@ -16,7 +16,7 @@ clock.  This package makes such blowups *recoverable* instead of fatal:
   corruption detection on load and order-independent restore,
 * :mod:`repro.runtime.degrade` — the machine-readable
   :class:`DegradationReport` describing which rung of the degradation
-  ladder (full → reordered → k-truncated → context-insensitive) produced
+  ladder (full → resumed → k-truncated → context-insensitive) produced
   the final answer,
 * :mod:`repro.runtime.supervisor` — *hard* enforcement: run a job in a
   sandboxed child process with a wall-clock deadline (SIGTERM → SIGKILL

@@ -4,8 +4,7 @@ A checkpoint captures *all* of a solver's relations (inputs, outputs, and
 intermediates — any subset-of-fixpoint state is sound to resume from
 because relations only grow monotonically), plus the domain metadata
 needed to reload them into a solver built later, possibly under a
-*different variable order* (the retry-with-reorder strategy depends on
-this).  Layout::
+*different variable order* or on another backend.  Layout::
 
     # repro-checkpoint 2
     meta {"format": 2, "relations": [...], "levels": {...}, ...}

@@ -4,8 +4,8 @@ When a governed context-sensitive analysis cannot finish within its
 budget it walks a ladder of cheaper configurations:
 
 1. ``full``      — Algorithm 5 under the requested context numbering,
-2. ``reorder``   — the same, resumed from a checkpoint after one round of
-   block sifting improved the variable order,
+2. ``resume``    — the same, resumed from a checkpoint of the strata that
+   reached fixpoint, in a fresh arena under the same variable order,
 3. ``truncated`` — k-truncated context numbering (contexts beyond ``k``
    per method merge into the overflow context, as the paper merges
    contexts beyond 2^63),
@@ -23,17 +23,17 @@ from typing import Any, Dict, List
 
 __all__ = ["Attempt", "DegradationReport", "LADDER"]
 
-# The rungs, cheapest-last.  ``reorder`` only exists as an in-process
-# retry (it resumes from a checkpoint under a sifted variable order); the
-# cross-process supervisor steps down the other three.
-LADDER = ("full", "reorder", "truncated", "context_insensitive")
+# The rungs, cheapest-last.  ``resume`` only exists as an in-process
+# retry (it resumes from the checkpoint the failed ``full`` rung left);
+# the cross-process supervisor steps down the other three.
+LADDER = ("full", "resume", "truncated", "context_insensitive")
 
 
 @dataclass
 class Attempt:
     """One rung of the ladder: what ran, how it ended, what it cost."""
 
-    mode: str           # full | reorder | truncated | context_insensitive
+    mode: str           # full | resume | truncated | context_insensitive
     outcome: str        # ok | timeout | node_budget | iteration_limit | error
     seconds: float = 0.0
     peak_nodes: int = 0

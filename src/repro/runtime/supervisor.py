@@ -172,12 +172,13 @@ def classify_exit(
 
 def ladder_fallbacks(job: Dict[str, Any]) -> List[Dict[str, Any]]:
     """Degradation fallbacks for an analysis job: the same job with the
-    mode stepped down the ladder (``reorder`` is in-process-only and is
-    skipped — a fresh child cannot sift a dead child's arena)."""
+    mode stepped down the ladder (``resume`` is in-process-only and is
+    skipped — a retried ``full`` attempt already resumes from the
+    checkpoint its predecessor left)."""
     from .degrade import LADDER
 
     mode = job.get("mode", "full")
-    steps = [m for m in LADDER if m != "reorder"]
+    steps = [m for m in LADDER if m != "resume"]
     if mode not in steps:
         return []
     out = []

@@ -1,9 +1,10 @@
-"""Tests for order-spec parsing, level assignment, and order search."""
+"""Tests for order-spec parsing and level assignment."""
 
 import pytest
 
 from repro.bdd import BDD, BDDError, Domain
-from repro.bdd.ordering import assign_levels, candidate_orders, parse_order, search_order
+from repro.bdd.domain import equality_relation
+from repro.bdd.ordering import assign_levels, parse_order
 
 
 class TestParseOrder:
@@ -69,43 +70,16 @@ class TestAssignLevels:
         assert got == {9}
 
 
-class TestCandidatesAndSearch:
-    def test_candidates_cover_interleave_pairs(self):
-        cands = candidate_orders(["V0", "V1", "H0"], [("V0", "V1")])
-        assert any("V0xV1" in c for c in cands)
-        assert all("H0" in c for c in cands)
-
-    def test_candidates_unique(self):
-        cands = candidate_orders(["A", "B", "C"])
-        assert len(cands) == len(set(cands))
-
-    def test_search_picks_minimum(self):
-        costs = {"A_B": 3.0, "B_A": 1.0}
-        best, results = search_order(lambda s: costs[s], ["A_B", "B_A"])
-        assert best == "B_A"
-        assert results == costs
-
-    def test_search_requires_candidates(self):
-        with pytest.raises(BDDError):
-            search_order(lambda s: 0.0, [])
-
-    def test_search_interleaving_beats_concatenation(self):
+    def test_interleaving_beats_concatenation(self):
         """The paper's Section 2.4.2 example: equal-value pair relations are
         tiny when attribute bits are interleaved, large when concatenated."""
 
-        def cost(spec):
-            from repro.bdd.ordering import assign_levels as assign
-
-            bits = {"A": 10, "B": 10}
-            levels = assign(spec, bits)
+        def nodes(spec):
+            levels = assign_levels(spec, {"A": 10, "B": 10})
             mgr = BDD(num_vars=20)
             a = Domain(mgr, "A", 1024, levels["A"])
             b = Domain(mgr, "B", 1024, levels["B"])
-            from repro.bdd.domain import equality_relation
-
             equality_relation(a, b)
-            return float(mgr.node_count())
+            return mgr.node_count()
 
-        best, results = search_order(cost, ["AxB", "A_B"])
-        assert best == "AxB"
-        assert results["AxB"] < results["A_B"]
+        assert nodes("AxB") < nodes("A_B")

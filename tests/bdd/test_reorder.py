@@ -1,14 +1,9 @@
-"""Tests for block sifting and order-preserving rebuilds."""
+"""Tests for rebuilding BDDs under a new level assignment."""
 
 import pytest
 
-from repro.bdd import BDD, BDDError, Domain
-from repro.bdd.domain import equality_relation
-from repro.bdd.reorder import (
-    count_nodes_under_order,
-    rebuild_with_levels,
-    sift_order,
-)
+from repro.bdd import BDD, BDDError
+from repro.bdd.reorder import rebuild_with_levels
 
 
 def eval_bdd(mgr, u, assignment):
@@ -54,49 +49,3 @@ class TestRebuild:
         nf, ng = rebuild_with_levels(src, [f, g], {i: i for i in range(4)}, dst)
         assert dst.and_(dst.var_bdd(0), dst.var_bdd(1)) == nf
 
-
-class TestSifting:
-    def make_interleave_instance(self):
-        """Two 8-bit domains related by equality: interleaved order is
-        linear, concatenated order is exponential — sifting must find the
-        interleaving."""
-        mgr = BDD(num_vars=16)
-        a = Domain(mgr, "A", 256, list(range(8)))
-        b = Domain(mgr, "B", 256, list(range(8, 16)))
-        eq = equality_relation(a, b)
-        # Treat each bit pair as its own block so sifting can interleave.
-        blocks = {}
-        for i in range(8):
-            blocks[f"a{i}"] = [a.levels[i]]
-            blocks[f"b{i}"] = [b.levels[i]]
-        initial = [f"a{i}" for i in range(8)] + [f"b{i}" for i in range(8)]
-        return mgr, eq, blocks, initial
-
-    def test_count_nodes_under_order(self):
-        mgr, eq, blocks, initial = self.make_interleave_instance()
-        concat = count_nodes_under_order(mgr, [eq], initial, blocks)
-        interleaved_order = []
-        for i in range(8):
-            interleaved_order += [f"a{i}", f"b{i}"]
-        inter = count_nodes_under_order(mgr, [eq], interleaved_order, blocks)
-        assert inter < concat / 4
-
-    def test_sifting_improves_equality_relation(self):
-        mgr, eq, blocks, initial = self.make_interleave_instance()
-        start = count_nodes_under_order(mgr, [eq], initial, blocks)
-        order, best = sift_order(mgr, [eq], blocks, initial, max_rounds=2)
-        assert best < start
-        # The sifted order should be near-linear (pairs adjacent).
-        assert best <= 8 * 8
-
-    def test_sift_order_validates_blocks(self):
-        mgr, eq, blocks, initial = self.make_interleave_instance()
-        with pytest.raises(BDDError):
-            sift_order(mgr, [eq], blocks, initial[:-1])
-
-    def test_sift_stable_on_already_good_order(self):
-        mgr = BDD(num_vars=4)
-        f = mgr.and_(mgr.var_bdd(0), mgr.var_bdd(1))
-        blocks = {"x": [0], "y": [1], "z": [2], "w": [3]}
-        order, count = sift_order(mgr, [f], blocks, ["x", "y", "z", "w"])
-        assert count <= 4 + 2

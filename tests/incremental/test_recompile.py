@@ -256,3 +256,55 @@ class TestProvenance:
             FactDiff.parse({"remove": {"store": [list(victim)]}}).resolve(mid_fs)
         )
         assert second.db_id == compile_database(facts=new_fs).db_id
+
+
+# The CI serve-smoke program: a budget-class database restricted to
+# Helper's methods, edited outside the class.
+BUDGET_SOURCE = """
+class Helper {
+    field f : Object;
+    method keep(x : Object) { this.f = x; }
+}
+class Main {
+    static method main() {
+        a = new Object;
+        b = a;
+        h = new Helper;
+        h.keep(a);
+    }
+}
+"""
+BUDGET_EDIT = {"add": {"vP0": [["Main.main:b", "Main.main@2:new Helper"]]}}
+
+
+class TestBudgetClassRecompile:
+    def test_warm_cold_and_fresh_agree(self, tmp_path):
+        from repro.ir import parse_program
+        from repro.serve import compile_database_with_state
+
+        program = parse_program(BUDGET_SOURCE, include_library=False)
+        db, state = compile_database_with_state(
+            program, budget_class="Helper.*"
+        )
+        warm_path = tmp_path / "warm.ptdb"
+        db.save(warm_path)
+        write_fixpoint_bundle(bundle_path_for(warm_path), db, state)
+        cold_path = tmp_path / "cold.ptdb"
+        db.save(cold_path)
+
+        diff = FactDiff.parse(BUDGET_EDIT)
+        warm = recompile_database(str(warm_path), diff)
+        cold = recompile_database(str(cold_path), diff)
+        assert warm.modes["cs"] == "delta"
+        assert cold.modes["cs"] == "cold"
+        factset = FactSet.from_db_meta(db.meta, "budget.ptdb")
+        new_facts, _ = factset.apply_diff(diff.resolve(factset))
+        fresh = compile_database(facts=new_facts, budget_class="Helper.*")
+
+        assert cold.db.budget_class == "Helper.*"
+        assert warm.db_id == cold.db_id == fresh.db_id
+        vpc = [
+            set(result.relation("vPC").tuples())
+            for result in (warm.db, cold.db, fresh)
+        ]
+        assert vpc[0] == vpc[1] == vpc[2]

@@ -49,7 +49,7 @@ class TestGovernedRuns:
         report = result.degradation
         assert report.final_mode == "context_insensitive"
         modes = [a.mode for a in report.attempts]
-        assert modes == ["full", "reorder", "truncated", "context_insensitive"]
+        assert modes == ["full", "resume", "truncated", "context_insensitive"]
         assert [a.outcome for a in report.attempts[:-1]] == ["node_budget"] * 3
         assert report.attempts[-1].outcome == "ok"
         # Sound: the degraded answer over-approximates the full one.
@@ -146,38 +146,38 @@ class TestLadderMiddleRungs:
             program=small_program,
             budget=ResourceBudget(timeout=300, node_budget=45000),
         )
-        # Rung 2 gets the same node budget; whether it succeeds depends
-        # on how much sifting helps.  Either way the final answer must be
-        # sound and the attempts list coherent.
+        # Rung 2 gets the same node budget in a fresh arena that holds
+        # only the checkpointed relations.  Either way the final answer
+        # must be sound and the attempts list coherent.
         result = analysis.run()
         report = result.degradation
         assert report is not None
         assert report.attempts[0].mode == "full"
-        if report.final_mode in ("full", "reorder", "truncated"):
+        if report.final_mode in ("full", "resume", "truncated"):
             assert set(result._points_to_tuples()) == small_reference
         else:
             assert set(result._points_to_tuples()) >= small_reference
 
-    def test_reorder_attempt_times_the_whole_rung(
+    def test_resume_attempt_times_the_whole_rung(
         self, small_program, monkeypatch
     ):
-        """The reorder rung's clock starts before its checkpoint and its
-        sift, so a slow sift shows in the attempt's seconds."""
-        from repro.bdd import reorder
+        """The resume rung's clock starts before its checkpoint is saved,
+        so a slow save shows in the attempt's seconds."""
+        from repro.analysis import context_sensitive
 
-        sift_order = reorder.sift_order
+        save_checkpoint = context_sensitive.save_checkpoint
 
-        def slow_sift(*args, **kwargs):
+        def slow_save(*args, **kwargs):
             time.sleep(0.2)
-            return sift_order(*args, **kwargs)
+            return save_checkpoint(*args, **kwargs)
 
-        monkeypatch.setattr(reorder, "sift_order", slow_sift)
+        monkeypatch.setattr(context_sensitive, "save_checkpoint", slow_save)
         result = ContextSensitiveAnalysis(
             program=small_program,
             budget=ResourceBudget(timeout=300, node_budget=2000),
         ).run()
         attempts = {a.mode: a for a in result.degradation.attempts}
-        assert attempts["reorder"].seconds >= 0.2
+        assert attempts["resume"].seconds >= 0.2
 
     def test_context_insensitive_attempt_times_the_discovery(
         self, small_program, monkeypatch
@@ -199,9 +199,9 @@ class TestLadderMiddleRungs:
         assert last.mode == "context_insensitive"
         assert last.seconds >= 0.2
 
-    def test_deadline_skips_reorder(self, small_program):
+    def test_deadline_skips_resume(self, small_program):
         """An expired deadline goes straight to the terminal rung — no
-        checkpoint/sift detour that cannot finish anyway."""
+        checkpoint/resume detour that cannot finish anyway."""
         result = None
         try:
             result = ContextSensitiveAnalysis(
@@ -213,4 +213,4 @@ class TestLadderMiddleRungs:
             # sliver of wall-clock; a zero deadline may legitimately fail.
             return
         assert result.degraded is True
-        assert "reorder" not in [a.mode for a in result.degradation.attempts]
+        assert "resume" not in [a.mode for a in result.degradation.attempts]
