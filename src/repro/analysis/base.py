@@ -8,11 +8,13 @@ relations, and wraps the solved relations in a result object.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, Optional, Sequence, Set, Tuple
 
-from ..datalog import Solver, apply_domain_sizes, parse_program
+from ..datalog import ProgramAST, Solver, apply_domain_sizes, parse_program
+from ..datalog.passes import PLAN_MEMO_SIZE
 from ..ir.facts import Facts
 from ..runtime import (
     DegradationReport,
@@ -46,6 +48,11 @@ def load_datalog_source(name: str, fragments: Sequence[str] = ()) -> str:
     return "\n".join(parts)
 
 
+@functools.lru_cache(maxsize=PLAN_MEMO_SIZE)
+def _parsed(source: str) -> ProgramAST:
+    return parse_program(source)
+
+
 def make_solver(
     facts: Facts,
     source: str,
@@ -69,10 +76,19 @@ def make_solver(
     about to overwrite every relation anyway, loading the fact tables
     first is pure waste (it dominates the cost of an incremental
     recompile).
+
+    Each distinct source text is parsed once per process.  The solver
+    gets its own ``domains`` and ``relations`` dicts, since sizing
+    replaces domain entries; the rule list is shared and never changed.
     """
     if extra_text:
         source = source + "\n" + extra_text
-    program = parse_program(source)
+    parsed = _parsed(source)
+    program = ProgramAST(
+        domains=dict(parsed.domains),
+        relations=dict(parsed.relations),
+        rules=parsed.rules,
+    )
     fact_sizes = facts.sizes
     sizes: Dict[str, int] = {
         dom: fact_sizes[dom] for dom in program.domains if dom in fact_sizes

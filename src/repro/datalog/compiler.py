@@ -65,6 +65,7 @@ __all__ = [
     "RulePlan",
     "compile_rule",
     "instance_requirements",
+    "lower_program",
 ]
 
 
@@ -532,13 +533,17 @@ def compile_rule(
     return plan
 
 
-def instance_requirements(program: ProgramAST) -> Dict[str, int]:
-    """Number of physical instances needed per logical domain.
+def lower_program(
+    program: ProgramAST,
+) -> Tuple[Dict[Tuple[int, Optional[int]], RulePlan], Dict[str, int]]:
+    """Greedily lower every rule variant against one shared allocator.
 
-    Compiles every rule (all semi-naive variants) against a shared
-    allocator and returns its high-water marks, also accounting for the
-    declared relation schemas.  The solver sizes its domain pool from
-    this — always from the *greedy* lowering, so the optimizer can never
+    Returns the plans keyed by ``(rule position, delta variant)`` —
+    ``None`` for the all-full variant, else the positive-atom index read
+    as delta — and the allocator's high-water marks: the number of
+    physical instances each logical domain needs, declared relation
+    schemas included.  The solver sizes its domain pool from these marks
+    — always from the *greedy* lowering, so the optimizer can never
     change the pool (and therefore never the BDD variable order or any
     serialized fingerprint).
     """
@@ -546,10 +551,18 @@ def instance_requirements(program: ProgramAST) -> Dict[str, int]:
     for decl in program.relations.values():
         for attr, inst in zip(decl.attributes, decl.resolved_instances()):
             allocator.note((attr.domain, inst))
-    for rule in program.rules:
-        n_pos = len(rule.positive_atoms)
+    plans: Dict[Tuple[int, Optional[int]], RulePlan] = {}
+    for rule_idx, rule in enumerate(program.rules):
         variants: List[Optional[int]] = [None]
-        variants.extend(range(n_pos))
+        variants.extend(range(len(rule.positive_atoms)))
         for variant in variants:
-            compile_rule(program, rule, variant, allocator)
-    return dict(allocator.high_water)
+            plans[(rule_idx, variant)] = compile_rule(
+                program, rule, variant, allocator
+            )
+    return plans, dict(allocator.high_water)
+
+
+def instance_requirements(program: ProgramAST) -> Dict[str, int]:
+    """Number of physical instances needed per logical domain (the pool
+    sizing half of :func:`lower_program`)."""
+    return lower_program(program)[1]

@@ -371,9 +371,6 @@ class RulePlan:
     source: str = "greedy"
 
     def __post_init__(self) -> None:
-        # Per-op execution traces [count, seconds, result_nodes]; filled
-        # by the executor only when tracing is on (--explain-plan).
-        self.traces: Optional[List[List[float]]] = None
         # Physical domain each variable was bound to during lowering.
         # The assign-domains pass compares its coloring against this to
         # skip re-lowering plans the greedy choice already matches.
@@ -434,7 +431,13 @@ class SharedSlot:
 
 @dataclass
 class PlanUnit:
-    """Everything the executor needs: plans, strata, hoisted slots."""
+    """Everything the executor needs: plans, hoisted and shared slots.
+
+    One unit serves every solver of its program (see
+    :func:`~repro.datalog.passes.build_plans`), so it holds no solver
+    state.  ``program`` carries the relations and rules the plans were
+    built from and declares no domains: no plan depends on a size.
+    """
 
     program: ProgramAST
     plans: Dict[Tuple[int, Optional[int]], RulePlan]
@@ -720,7 +723,13 @@ def _trace_note(trace: Optional[List[float]]) -> str:
     return f"   [x{int(count)}  {seconds:.3f}s  {int(nodes)} nodes]"
 
 
-def format_plan(plan: RulePlan, indent: str = "  ") -> List[str]:
+def format_plan(
+    plan: RulePlan,
+    indent: str = "  ",
+    traces: Optional[List[List[float]]] = None,
+) -> List[str]:
+    """Render one plan; ``traces`` are a solver's per-op execution
+    traces for it (``[count, seconds, result nodes]`` per op)."""
     variant = (
         "once" if plan.delta_index is None else f"delta=atom{plan.delta_index}"
     )
@@ -728,7 +737,7 @@ def format_plan(plan: RulePlan, indent: str = "  ") -> List[str]:
     widest = max((len(format_op(op)) for op in plan.ops), default=0)
     for i, op in enumerate(plan.ops):
         text = format_op(op)
-        trace = plan.traces[i] if plan.traces else None
+        trace = traces[i] if traces else None
         note = _trace_note(trace)
         schema = f"{{{_refs_str(op.schema)}}}"
         lines.append(f"{indent}{text.ljust(widest)}  :: {schema}{note}")
@@ -739,13 +748,16 @@ def format_unit(
     unit: PlanUnit,
     strata,
     executed_only: bool = False,
+    traces: Optional[Dict[int, List[List[float]]]] = None,
 ) -> str:
     """Render a whole unit: per-stratum preamble slots, then plans.
 
     ``executed_only`` limits recursive strata to their delta variants
     (the plans semi-naive evaluation actually runs) — with it off every
-    compiled variant is shown.
+    compiled variant is shown.  ``traces`` maps ``id(plan)`` to a
+    solver's execution traces for that plan.
     """
+    traces = traces or {}
     rule_index = {id(rule): i for i, rule in enumerate(unit.program.rules)}
     lines: List[str] = []
     if unit.applied_passes:
@@ -791,6 +803,6 @@ def format_unit(
                 plan = unit.plans.get((ridx, variant))
                 if plan is None:
                     continue
-                for line in format_plan(plan):
+                for line in format_plan(plan, traces=traces.get(id(plan))):
                     lines.append("  " + line)
     return "\n".join(lines)

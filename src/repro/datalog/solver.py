@@ -29,7 +29,10 @@ loop-invariant hoisting into stratum preamble slots, superop fusion), and
 :meth:`Solver._apply_plan` interprets the result op by op, tallying
 executed operations per kind into ``SolveStats.plan_ops`` and — under
 ``trace_ops=True`` — recording per-op timing and result sizes for
-``repro datalog --explain-plan``.
+``repro datalog --explain-plan``.  The plans of a program are built once
+per process and shared by all its solvers
+(:func:`~repro.datalog.passes.build_plans`); the solver keeps its own
+state — traces, hoisted-slot values, profiles — beside them.
 """
 
 from __future__ import annotations
@@ -53,11 +56,11 @@ from ..runtime import faults
 from ..runtime.budget import ResourceBudget, Watchdog
 from ..runtime.errors import IterationLimitExceeded, ReproError
 from .ast import DatalogError, NamedConst, NumberConst, ProgramAST, Term
-from .compiler import PhysRef, _Allocator, compile_rule
-from .passes import PassOptions, run_pipeline
-from .plan import Op, PlanUnit, RulePlan, format_unit
+from .compiler import PhysRef
+from .passes import PassOptions, build_plans
+from .plan import Op, RulePlan, format_unit
 from .relation import Attribute, Relation, bdd_size
-from .stratify import Stratum, stratify
+from .stratify import Stratum
 
 __all__ = ["RuleProfile", "Solver", "SolveStats"]
 
@@ -137,31 +140,16 @@ class Solver:
             dom: {name: i for i, name in enumerate(names)}
             for dom, names in self.name_maps.items()
         }
-        # Compile every rule variant once; the allocator's high-water marks
-        # tell us how many physical instances each logical domain needs.
-        # The optimizer never changes this pool (that would change BDD
-        # levels): it may only re-place variables within it.
-        allocator = _Allocator()
-        for decl in program.relations.values():
-            for attr, inst in zip(decl.attributes, decl.resolved_instances()):
-                allocator.note((attr.domain, inst))
-        self._plans: Dict[Tuple[int, Optional[int]], RulePlan] = {}
-        for rule_idx, rule in enumerate(program.rules):
-            n_pos = len(rule.positive_atoms)
-            variants: List[Optional[int]] = [None]
-            variants.extend(range(n_pos))
-            for variant in variants:
-                self._plans[(rule_idx, variant)] = compile_rule(
-                    program, rule, variant, allocator
-                )
-        self._instances = dict(allocator.high_water)
-        # Optimize the lowered plans before any BDD state exists.
-        self._strata = stratify(program)
+        # The optimized plans, the instance pool (how many physical
+        # instances each logical domain needs) and the strata, shared by
+        # every solver of this program.  Strata and plans refer to the
+        # unit's own rule objects, equal to ``program.rules``; every
+        # rule-identity index below is built over those.
+        self.plan_unit, self._strata = build_plans(program, self.pass_options)
+        self._plans = self.plan_unit.plans
+        self._instances = self.plan_unit.instances
+        rules = self.plan_unit.program.rules
         self._stratum_index = {id(s): i for i, s in enumerate(self._strata)}
-        self.plan_unit = PlanUnit(
-            program=program, plans=self._plans, instances=self._instances
-        )
-        run_pipeline(self.plan_unit, self._strata, self.pass_options)
         # Build the physical domain pool under the requested variable order.
         domain_bits: Dict[str, int] = {}
         for logical, count in self._instances.items():
@@ -197,12 +185,14 @@ class Solver:
             self.relations[decl.name] = Relation(self.manager, decl.name, attrs)
         # Hoisted-slot value cache: slot id -> (relation version, node).
         self._hoist_cache: Dict[int, Tuple[int, int]] = {}
+        # Per-op execution traces under trace_ops, by id of the plan:
+        # [count, seconds, peak result nodes] per op.
+        self._traces: Dict[int, List[List[float]]] = {}
         self.stats = SolveStats()
         self._profiles: Dict[int, RuleProfile] = {
-            i: RuleProfile(rule=str(rule))
-            for i, rule in enumerate(program.rules)
+            i: RuleProfile(rule=str(rule)) for i, rule in enumerate(rules)
         }
-        self._rule_index = {id(rule): i for i, rule in enumerate(program.rules)}
+        self._rule_index = {id(rule): i for i, rule in enumerate(rules)}
         self._rule_of_plan: Dict[int, int] = {}
         for (rule_idx, _variant), plan in self._plans.items():
             self._rule_of_plan[id(plan)] = rule_idx
@@ -798,9 +788,9 @@ class Solver:
         tallies = self.stats.plan_ops
         traces = None
         if self.trace_ops:
-            if plan.traces is None or len(plan.traces) != len(ops):
-                plan.traces = [[0, 0.0, 0] for _ in ops]
-            traces = plan.traces
+            traces = self._traces.get(id(plan))
+            if traces is None:
+                traces = self._traces[id(plan)] = [[0, 0.0, 0] for _ in ops]
         current = FALSE
         for i, op in enumerate(ops):
             if op.kind == "copy_into":
@@ -868,7 +858,10 @@ class Solver:
         Run :meth:`solve` with ``trace_ops=True`` first to get the
         cost annotations (execution counts, seconds, peak result nodes)."""
         return format_unit(
-            self.plan_unit, self._strata, executed_only=executed_only
+            self.plan_unit,
+            self._strata,
+            executed_only=executed_only,
+            traces=self._traces,
         )
 
     def plan_op_counts(self) -> Dict[str, int]:

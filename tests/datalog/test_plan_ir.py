@@ -209,14 +209,12 @@ class TestExecutor:
 
     def test_traces_recorded(self):
         solver = solve_tc(trace_ops=True)
-        traced = [
-            plan
-            for plan in solver.plan_unit.plans.values()
-            if plan.traces is not None
-        ]
-        assert traced
-        for plan in traced:
-            for trace in plan.traces:
+        # Traces live on the solver, keyed by the id of a shared plan.
+        plans = {id(plan) for plan in solver.plan_unit.plans.values()}
+        assert solver._traces
+        for plan_id, traces in solver._traces.items():
+            assert plan_id in plans
+            for trace in traces:
                 count, seconds, max_nodes = trace
                 assert count >= 0 and seconds >= 0 and max_nodes >= 0
 

@@ -22,7 +22,9 @@ combination must reproduce it:
   recursions are rebuilt mid-sequence;
 * checkpoint resume: the same faults in the middle of a full solve,
   whose checkpoint a fresh solver under either backend loads and
-  resumes with ``solve(start_stratum)``.
+  resumes with ``solve(start_stratum)``;
+* shared plans: the same program text with every domain grown builds
+  from the plan memo and still reaches its own, larger model.
 
 Half the cases collect garbage on every semi-naive iteration, so every
 node the drivers hold across a stratum must survive a collection.  Half
@@ -42,6 +44,7 @@ from hypothesis import given, settings, strategies as st
 from repro.bdd import FALSE
 from repro.datalog import Solver, parse_program
 from repro.datalog.magic import magic_rewrite
+from repro.datalog.passes import build_plans
 from repro.runtime import NodeBudgetExceeded, ResourceBudget, faults
 from repro.runtime.checkpoint import checkpoint_lines, load_checkpoint_lines
 
@@ -601,6 +604,30 @@ def test_checkpoint_resume_matches_model(
     meta = load_checkpoint_lines(fresh, lines, "oracle")
     fresh.solve(start_stratum=meta.next_stratum)
     assert_matches(fresh, program, model(program, case.facts))
+
+
+@pytest.mark.parametrize("optimize", [True, False])
+@given(case=cases(), grow=st.integers(1, 8))
+@ORACLE
+def test_resized_program_reuses_plans(optimize, case, grow):
+    # Domain sizes are not part of the plan memo's key: the grown
+    # program hits the entry the original built, and each solver still
+    # reaches the model of its own sizes (unbound head variables and
+    # negated atoms range over the whole domain).
+    program = case.program
+    grown = replace(
+        program, domains={d: n + grow for d, n in program.domains.items()}
+    )
+    first = make_solver(parse_program(program.text()), False, "packed",
+                        optimize, case)
+    hits = build_plans.cache_info().hits
+    second = make_solver(parse_program(grown.text()), False, "packed",
+                         optimize, case)
+    assert build_plans.cache_info().hits == hits + 1
+    assert second.plan_unit is first.plan_unit
+    for solver, sized in ((first, program), (second, grown)):
+        solver.solve()
+        assert_matches(solver, sized, model(sized, case.facts))
 
 
 # ----------------------------------------------------------------------
