@@ -64,7 +64,6 @@ def make_solver(
     backend: Optional[str] = None,
     optimize: Optional[bool] = None,
     disabled_passes: Optional[Sequence[str]] = None,
-    trace_ops: bool = False,
     load_facts: bool = True,
 ) -> Solver:
     """Build a solver for ``source`` sized and named from ``facts``.
@@ -107,7 +106,6 @@ def make_solver(
         backend=backend,
         optimize=optimize,
         disabled_passes=disabled_passes,
-        trace_ops=trace_ops,
     )
     if load_facts:
         for decl in program.relations.values():

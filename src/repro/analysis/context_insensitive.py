@@ -133,7 +133,6 @@ class ContextInsensitiveAnalysis:
         backend: Optional[str] = None,
         optimize: Optional[bool] = None,
         disabled_passes: Optional[Sequence[str]] = None,
-        trace_ops: bool = False,
     ) -> None:
         if facts is None:
             if program is None:
@@ -151,7 +150,6 @@ class ContextInsensitiveAnalysis:
         self.backend = backend
         self.optimize = optimize
         self.disabled_passes = disabled_passes
-        self.trace_ops = trace_ops
 
     def algorithm_name(self) -> str:
         if self.discover_call_graph:
@@ -171,7 +169,6 @@ class ContextInsensitiveAnalysis:
             backend=self.backend,
             optimize=self.optimize,
             disabled_passes=self.disabled_passes,
-            trace_ops=self.trace_ops,
         )
         discovered = None
         if self.discover_call_graph:

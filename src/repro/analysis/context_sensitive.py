@@ -17,11 +17,14 @@ context-insensitive view (Figure 6's "projected" columns).
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import hashlib
 import pathlib
 import tempfile
 import time
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Sequence, Set
 
 from ..callgraph import (
     CallGraph,
@@ -30,7 +33,7 @@ from ..callgraph import (
     number_call_graph,
     number_call_graph_1cfa,
 )
-from ..ir.facts import Facts, extract_facts
+from ..ir.facts import Facts, extract_facts, facts_digest
 from ..ir.program import Program
 from ..runtime import (
     Attempt,
@@ -39,8 +42,10 @@ from ..runtime import (
     ReproError,
     ResourceBudget,
     load_checkpoint,
+    read_checkpoint_meta,
     save_checkpoint,
 )
+from ..runtime.degrade import LADDER, RUNGS
 from .base import (
     AnalysisError,
     AnalysisResult,
@@ -51,6 +56,8 @@ from .base import (
 from .context_insensitive import ContextInsensitiveAnalysis
 
 __all__ = ["ContextSensitiveAnalysis", "ContextSensitiveResult"]
+
+CHECKPOINT_NAME = "context_sensitive.ckpt"
 
 
 @dataclass
@@ -97,6 +104,7 @@ class ContextSensitiveAnalysis:
     """Driver for Algorithms 4 + 5 (and, via subclassing, 6)."""
 
     algorithm = "algorithm5"
+    result_class = ContextSensitiveResult
 
     def __init__(
         self,
@@ -116,7 +124,6 @@ class ContextSensitiveAnalysis:
         truncate_cap: int = 64,
         backend: Optional[str] = None,
         optimize: Optional[bool] = None,
-        trace_ops: bool = False,
     ) -> None:
         if facts is None:
             if program is None:
@@ -141,23 +148,25 @@ class ContextSensitiveAnalysis:
         self.truncate_cap = truncate_cap
         self.backend = backend
         self.optimize = optimize
-        self.trace_ops = trace_ops
 
     # ------------------------------------------------------------------
+
+    def _context_insensitive(self, budget: Optional[ResourceBudget]):
+        return ContextInsensitiveAnalysis(
+            facts=self.facts,
+            type_filtering=True,
+            discover_call_graph=True,
+            budget=budget,
+            backend=self.backend,
+            optimize=self.optimize,
+        ).run()
 
     def _obtain_call_graph(self) -> CallGraph:
         if self.call_graph is not None:
             return self.call_graph
         if self.use_cha_graph:
             return cha_call_graph(self.facts)
-        ci = ContextInsensitiveAnalysis(
-            facts=self.facts,
-            type_filtering=True,
-            discover_call_graph=True,
-            backend=self.backend,
-            optimize=self.optimize,
-        ).run()
-        return ci.discovered_call_graph
+        return self._context_insensitive(None).discovered_call_graph
 
     def _number(self, graph: CallGraph, cap: Optional[int] = None) -> ContextNumbering:
         entries = self.facts.entry_method_ids()
@@ -166,35 +175,56 @@ class ContextSensitiveAnalysis:
         use_cap = cap if cap is not None else self.context_cap
         return number_call_graph(graph, entries=entries, cap=use_cap)
 
+    def _source(self) -> str:
+        return load_datalog_source(self.algorithm, self.query_fragments)
+
     def _build_solver(
         self,
         numbering: ContextNumbering,
         graph: CallGraph,
-        order_spec: Optional[str],
-        budget: Optional[ResourceBudget] = None,
-        install: bool = True,
+        budget: Optional[ResourceBudget],
+        resume: bool = False,
     ):
-        source = load_datalog_source(self.algorithm, self.query_fragments)
+        # A resumed solver gets every relation from its checkpoint, so
+        # neither the facts nor the numbering are encoded first.
         solver = make_solver(
             self.facts,
-            source,
+            self._source(),
             size_overrides={"C": numbering.context_domain_size()},
-            order_spec=order_spec,
+            order_spec=self.order_spec,
             naive=self.naive,
             extra_text=self.extra_text,
             budget=budget,
             backend=self.backend,
             optimize=self.optimize,
-            trace_ops=self.trace_ops,
+            load_facts=not resume,
         )
-        if install:
+        if not resume:
             self._install_numbering(solver, numbering, graph)
         return solver
+
+    @functools.cached_property
+    def _facts_digest(self) -> str:
+        return facts_digest(self.facts)
+
+    def _checkpoint_identity(self, numbering: ContextNumbering) -> Dict[str, str]:
+        """What a checkpoint must have been taken from to be resumed:
+        these facts, and this Datalog program over this numbering."""
+        program = "\n".join((
+            self._source(),
+            self.extra_text,
+            repr(numbering.ranges),
+            repr(sorted(numbering.counts.items())),
+        ))
+        return {
+            "facts_digest": self._facts_digest,
+            "program_digest": hashlib.sha256(program.encode()).hexdigest(),
+        }
 
     def run(self) -> AnalysisResult:
         """Run the analysis; with a budget attached, run *governed*.
 
-        An ungoverned run (no budget) behaves exactly as before: any
+        An ungoverned run (no budget) runs the ``full`` rung once: any
         blowup runs to completion or the process dies with it.  A
         governed run never escapes with a raw resource fault while a
         cheaper sound configuration remains: it walks the degradation
@@ -205,278 +235,172 @@ class ContextSensitiveAnalysis:
         faults propagate to the caller after the first attempt.
         """
         if self.budget is None or not self.degrade:
-            return self._run_once()
-        return self._run_governed()
-
-    def _run_once(self) -> ContextSensitiveResult:
-        start = time.monotonic()
-        graph = self._obtain_call_graph()
-        numbering = self._number(graph)
-        solver = self._build_solver(
-            numbering, graph, self.order_spec, budget=self.budget
-        )
-        solver.solve()
-        seconds = time.monotonic() - start
-        return self._wrap_result(solver, numbering, graph, seconds)
+            return self.run_rung("full")
+        return self._run_ladder()
 
     def run_rung(self, mode: str = "full") -> AnalysisResult:
-        """Run exactly *one* ladder rung — the unit a process supervisor
-        retries and steps down.
+        """Run exactly *one* ladder rung and let its faults propagate.
 
-        Unlike :meth:`_run_governed`, which walks the whole ladder inside
-        one process, ``run_rung`` runs the named mode and lets faults
-        propagate: the supervisor (another process) owns the retry and
-        step-down policy.  Two supervisor-facing behaviors:
+        This is the unit a process supervisor retries and steps down
+        (the supervisor, another process, owns that policy).  With
+        ``checkpoint_dir`` set, a ``full`` rung resumes from the
+        checkpoint there when it was taken from this program, and on any
+        fault checkpoints the strata completed so far, so a retried
+        attempt does not redo finished work.  The result's ``resumed``
+        attribute reports whether a checkpoint was consumed.
+        """
+        if mode not in RUNGS:
+            raise AnalysisError(
+                f"run_rung mode must be one of {', '.join(map(repr, RUNGS))}, "
+                f"got {mode!r}"
+            )
+        start = time.monotonic()
+        graph = None if mode == "context_insensitive" else self._obtain_call_graph()
+        checkpoint = None
+        if self.checkpoint_dir is not None:
+            checkpoint = pathlib.Path(self.checkpoint_dir) / CHECKPOINT_NAME
+        result = self._rung(mode, self.budget, graph, checkpoint)
+        result.seconds = time.monotonic() - start
+        return result
 
-        * with ``checkpoint_dir`` set, a ``full`` rung resumes from an
-          existing checkpoint and, on *any* exception, checkpoints the
-          strata completed so far before re-raising — so a retried
-          attempt does not redo finished work;
-        * the result's ``resumed`` attribute reports whether a checkpoint
-          was consumed.
+    def _rung(
+        self,
+        mode: str,
+        budget: Optional[ResourceBudget],
+        graph: Optional[CallGraph] = None,
+        checkpoint: Optional[pathlib.Path] = None,
+    ) -> AnalysisResult:
+        """Run one rung; the result's ``seconds`` time this call.
+
+        ``context_insensitive`` runs Algorithm 3.  ``full`` and
+        ``truncated`` number ``graph`` (``truncated`` merges the contexts
+        of each method beyond ``truncate_cap``), then build, install and
+        solve the cloned program.  Given a ``checkpoint`` path, a
+        ``full`` rung first resumes from the checkpoint there if it was
+        taken from these facts, this program and this numbering (and
+        deletes it once solved), and on a fault saves the strata that
+        reached fixpoint there before re-raising.
         """
         start = time.monotonic()
         if mode == "context_insensitive":
-            result = ContextInsensitiveAnalysis(
-                facts=self.facts,
-                type_filtering=True,
-                discover_call_graph=True,
-                budget=self.budget,
-                backend=self.backend,
-                optimize=self.optimize,
-            ).run()
+            result = self._context_insensitive(budget)
             result.degraded = True
-            result.resumed = False
             result.seconds = time.monotonic() - start
             return result
-
-        graph = self._obtain_call_graph()
-        if mode == "truncated":
-            numbering = self._number(graph, cap=self.truncate_cap)
-        elif mode == "full":
-            numbering = self._number(graph)
-        else:
-            raise AnalysisError(
-                f"run_rung mode must be one of 'full', 'truncated', "
-                f"'context_insensitive', got {mode!r}"
-            )
-
-        ckpt_path = None
-        resume_meta = None
-        if mode == "full" and self.checkpoint_dir is not None:
-            ckpt_path = pathlib.Path(self.checkpoint_dir) / "context_sensitive.ckpt"
-            if not ckpt_path.exists():
-                ckpt_path.parent.mkdir(parents=True, exist_ok=True)
-
-        solver = self._build_solver(
-            numbering, graph, self.order_spec, budget=self.budget,
-            install=not (ckpt_path is not None and ckpt_path.exists()),
+        numbering = self._number(
+            graph, cap=self.truncate_cap if mode == "truncated" else None
         )
-        if ckpt_path is not None and ckpt_path.exists():
-            resume_meta = load_checkpoint(solver, ckpt_path)
+        if mode != "full":
+            checkpoint = None
+        resume = False
+        if checkpoint is not None:
+            try:
+                meta = read_checkpoint_meta(checkpoint)
+            except ReproError:
+                meta = None  # an unreadable header names no program
+            resume = meta is not None and all(
+                meta.get(key) == value
+                for key, value in self._checkpoint_identity(numbering).items()
+            )
+        solver = self._build_solver(numbering, graph, budget, resume=resume)
+        start_stratum = 0
+        if resume:
+            start_stratum = load_checkpoint(solver, checkpoint).next_stratum
         try:
-            if resume_meta is not None:
-                solver.solve(start_stratum=resume_meta.next_stratum)
-            else:
-                solver.solve()
+            solver.solve(start_stratum=start_stratum)
         except BaseException:
-            # Checkpoint whatever is at fixpoint so the *next* attempt
-            # (ours or a fresh process) starts from here, then let the
-            # fault travel to the supervisor.
-            if ckpt_path is not None:
+            # A checkpoint in the ladder's temporary directory serves
+            # only its ``resume`` rung, which an expired deadline skips.
+            if checkpoint is not None and (
+                self.checkpoint_dir is not None or not budget.expired()
+            ):
                 try:
                     save_checkpoint(
-                        solver, ckpt_path,
+                        solver, checkpoint,
                         next_stratum=solver.last_completed_stratum + 1,
-                        extra_meta={"reason": "interrupted"},
+                        extra_meta=self._checkpoint_identity(numbering),
                     )
                 except Exception:
                     pass  # the original fault matters more
             raise
-        result = self._wrap_result(
-            solver, numbering, graph, time.monotonic() - start,
-            degraded=(mode != "full"),
+        if resume:
+            # Consumed: a later run must start fresh.
+            checkpoint.unlink(missing_ok=True)
+        return self.result_class(
+            facts=self.facts,
+            solver=solver,
+            seconds=time.monotonic() - start,
+            degraded=mode != "full",
+            resumed=resume,
+            numbering=numbering,
+            call_graph=graph,
         )
-        result.resumed = resume_meta is not None
-        if ckpt_path is not None and ckpt_path.exists():
-            ckpt_path.unlink()  # consumed: a later run must start fresh
-        return result
 
-    def _run_governed(self) -> AnalysisResult:
+    def _run_ladder(self) -> AnalysisResult:
+        """Walk :data:`LADDER` until a rung answers.
+
+        Every rung races the one deadline fixed here.  ``resume`` is the
+        ``full`` rung again, which loads the checkpoint the failed
+        ``full`` attempt left; it runs only after a node blowup, since a
+        fresh arena that holds just the checkpointed relations saves
+        nodes, not time.  Once the deadline has expired the middle rungs
+        are skipped.  The context-insensitive rung runs under the
+        deadline alone: a node budget that defeated every cloned rung
+        must not also starve the sound fallback.  When the call graph is
+        discovered here, the discovery's answer is that rung's, and its
+        attempt is timed from when the discovery started.
+        """
         budget = self.budget.start()
         report = DegradationReport()
         start = time.monotonic()
-
-        # Obtain the call graph.  When we discover it ourselves the
-        # context-insensitive baseline comes for free and doubles as the
-        # ladder's last rung.
-        ci_result = None
-        discovery_s = 0.0
-        graph = self.call_graph
-        if graph is None:
-            if self.use_cha_graph:
-                graph = cha_call_graph(self.facts)
-            else:
+        discovered = None
+        if self.call_graph is None and not self.use_cha_graph:
+            discovered = self._rung("context_insensitive", budget.share_deadline())
+            graph = discovered.discovered_call_graph
+        else:
+            graph = self._obtain_call_graph()
+        if self.checkpoint_dir is None:
+            holder = tempfile.TemporaryDirectory(prefix="repro-ckpt-")
+        else:
+            holder = contextlib.nullcontext(self.checkpoint_dir)
+        with holder as ckpt_dir:
+            checkpoint = pathlib.Path(ckpt_dir) / CHECKPOINT_NAME
+            err: Optional[ReproError] = None
+            for mode in LADDER:
+                if mode == "resume" and not isinstance(err, NodeBudgetExceeded):
+                    continue
+                if mode in ("resume", "truncated") and budget.expired():
+                    continue
                 t0 = time.monotonic()
-                ci_result = ContextInsensitiveAnalysis(
-                    facts=self.facts,
-                    type_filtering=True,
-                    discover_call_graph=True,
-                    budget=budget.share_deadline(),
-                    backend=self.backend,
-                    optimize=self.optimize,
-                ).run()
-                discovery_s = time.monotonic() - t0
-                graph = ci_result.discovered_call_graph
-
-        ckpt_dir = self.checkpoint_dir
-        tmp_holder = None
-        if ckpt_dir is None:
-            tmp_holder = tempfile.TemporaryDirectory(prefix="repro-ckpt-")
-            ckpt_dir = tmp_holder.name
-        try:
-            full_budget = budget.share_deadline(
-                node_budget=budget.node_budget,
-                max_iterations=budget.max_iterations,
-            )
-
-            # Rung 1: the requested analysis.  Each rung's clock covers
-            # its numbering, build and checkpoint work, not only its solve.
-            t0 = time.monotonic()
-            numbering = self._number(graph)
-            solver = self._build_solver(
-                numbering, graph, self.order_spec, budget=full_budget
-            )
-            try:
-                solver.solve()
-                report.record(
-                    Attempt("full", "ok", time.monotonic() - t0,
-                            solver.manager.peak_nodes)
-                )
-                report.final_mode = "full"
-                return self._wrap_result(
-                    solver, numbering, graph, time.monotonic() - start,
-                    degraded=False, report=report,
-                )
-            except ReproError as err:
-                report.record(
-                    Attempt("full", outcome_of(err), time.monotonic() - t0,
-                            solver.manager.peak_nodes, detail=str(err))
-                )
-                first_err = err
-
-            # Rung 2: resume from a checkpoint in a fresh arena.  Only
-            # worth it after a node blowup: an arena that holds just the
-            # checkpointed relations saves nodes, not time.
-            if isinstance(first_err, NodeBudgetExceeded) and not budget.expired():
-                t0 = time.monotonic()
-                path = pathlib.Path(ckpt_dir) / "context_sensitive.ckpt"
-                resume_from = max(first_err.completed_strata or 0, 0)
-                save_checkpoint(
-                    solver, path, next_stratum=resume_from,
-                    extra_meta={"reason": outcome_of(first_err)},
-                )
-                del solver
-                retry = self._build_solver(
-                    numbering, graph, self.order_spec,
-                    budget=budget.share_deadline(
-                        node_budget=budget.node_budget,
-                        max_iterations=budget.max_iterations,
-                    ),
-                    install=False,
-                )
-                meta = load_checkpoint(retry, path)
-                detail = f"stratum={meta.next_stratum}"
                 try:
-                    retry.solve(start_stratum=meta.next_stratum)
-                    report.record(
-                        Attempt("resume", "ok", time.monotonic() - t0,
-                                retry.manager.peak_nodes, detail=detail)
-                    )
-                    report.degraded = True
-                    report.final_mode = "resume"
-                    return self._wrap_result(
-                        retry, numbering, graph, time.monotonic() - start,
-                        degraded=True, report=report,
-                    )
-                except ReproError as err:
-                    report.record(
-                        Attempt("resume", outcome_of(err),
-                                time.monotonic() - t0,
-                                retry.manager.peak_nodes,
-                                detail=f"{detail}: {err}")
-                    )
-                    del retry
-
-            # Rung 3: k-truncated context numbering.
-            if not budget.expired():
-                t0 = time.monotonic()
-                trunc = self._number(graph, cap=self.truncate_cap)
-                tsolver = self._build_solver(
-                    trunc, graph, self.order_spec,
-                    budget=budget.share_deadline(
-                        node_budget=budget.node_budget,
-                        max_iterations=budget.max_iterations,
-                    ),
-                )
-                try:
-                    tsolver.solve()
-                    report.record(
-                        Attempt("truncated", "ok", time.monotonic() - t0,
-                                tsolver.manager.peak_nodes,
-                                detail=f"cap={self.truncate_cap}")
-                    )
-                    report.degraded = True
-                    report.final_mode = "truncated"
-                    return self._wrap_result(
-                        tsolver, trunc, graph, time.monotonic() - start,
-                        degraded=True, report=report,
-                    )
-                except ReproError as err:
-                    report.record(
-                        Attempt("truncated", outcome_of(err),
-                                time.monotonic() - t0,
-                                tsolver.manager.peak_nodes, detail=str(err))
-                    )
-                    del tsolver
-
-            # Rung 4: the context-insensitive answer — sound by
-            # construction, and already computed when we discovered the
-            # call graph ourselves.  Runs deadline-only: a node budget
-            # that defeated every context-sensitive rung must not also
-            # starve the fallback.  A discovery result is this rung's
-            # answer, so its clock starts when the discovery did.
-            t0 = time.monotonic() - discovery_s
-            try:
-                if ci_result is None:
-                    ci_result = ContextInsensitiveAnalysis(
-                        facts=self.facts,
-                        type_filtering=True,
-                        discover_call_graph=True,
-                        budget=budget.share_deadline(),
-                        backend=self.backend,
-                        optimize=self.optimize,
-                    ).run()
-            except ReproError as err:
-                report.record(
-                    Attempt("context_insensitive", outcome_of(err),
-                            time.monotonic() - t0, 0, detail=str(err))
-                )
-                err.degradation = report
-                raise
-            report.record(
-                Attempt("context_insensitive", "ok",
-                        time.monotonic() - t0, ci_result.peak_nodes)
-            )
-            report.degraded = True
-            report.final_mode = "context_insensitive"
-            ci_result.degraded = True
-            ci_result.degradation = report
-            ci_result.seconds = time.monotonic() - start
-            return ci_result
-        finally:
-            if tmp_holder is not None:
-                tmp_holder.cleanup()
+                    if mode != "context_insensitive":
+                        result = self._rung(
+                            "full" if mode == "resume" else mode,
+                            budget, graph, checkpoint,
+                        )
+                    elif discovered is not None:
+                        result, t0 = discovered, t0 - discovered.seconds
+                    else:
+                        result = self._rung(mode, budget.share_deadline())
+                except ReproError as failure:
+                    err = failure
+                    peak = err.stats.peak_nodes if err.stats is not None else 0
+                    report.record(Attempt(
+                        mode, outcome_of(err), time.monotonic() - t0, peak,
+                        detail=str(err),
+                    ))
+                    continue
+                report.record(Attempt(
+                    mode, "ok", time.monotonic() - t0, result.peak_nodes,
+                    detail=f"cap={self.truncate_cap}" if mode == "truncated" else "",
+                ))
+                report.degraded = result.degraded = mode != "full"
+                report.final_mode = mode
+                result.degradation = report
+                result.seconds = time.monotonic() - start
+                return result
+        err.degradation = report
+        raise err
 
     def _install_numbering(
         self, solver, numbering: ContextNumbering, graph: CallGraph
@@ -506,16 +430,3 @@ class ContextSensitiveAnalysis:
             mc.attribute("method").phys,
         )
         solver.set_node("MC", mc_node)
-
-    def _wrap_result(
-        self, solver, numbering, graph, seconds, degraded=False, report=None
-    ):
-        return ContextSensitiveResult(
-            facts=self.facts,
-            solver=solver,
-            seconds=seconds,
-            numbering=numbering,
-            call_graph=graph,
-            degraded=degraded,
-            degradation=report,
-        )

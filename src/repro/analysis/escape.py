@@ -289,7 +289,6 @@ class ThreadEscapeAnalysis:
         budget=None,
         backend: Optional[str] = None,
         optimize: Optional[bool] = None,
-        trace_ops: bool = False,
         thread_sites: Optional[Sequence[Tuple[int, int]]] = None,
     ) -> None:
         if facts is None:
@@ -304,7 +303,6 @@ class ThreadEscapeAnalysis:
         self.budget = budget
         self.backend = backend
         self.optimize = optimize
-        self.trace_ops = trace_ops
 
     # ------------------------------------------------------------------
 
@@ -342,7 +340,6 @@ class ThreadEscapeAnalysis:
             budget=self.budget,
             backend=self.backend,
             optimize=self.optimize,
-            trace_ops=self.trace_ops,
         )
         solver.add_tuples("assign", inputs.assign)
         solver.add_tuples("HT", inputs.ht)

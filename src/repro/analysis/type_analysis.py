@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Set
 
-from .base import AnalysisResult
 from .context_sensitive import ContextSensitiveAnalysis, ContextSensitiveResult
 
 __all__ = ["ContextSensitiveTypeAnalysis", "TypeAnalysisResult"]
@@ -48,16 +47,4 @@ class ContextSensitiveTypeAnalysis(ContextSensitiveAnalysis):
     """Driver for Algorithm 6 (same setup as Algorithm 5)."""
 
     algorithm = "algorithm6"
-
-    def _wrap_result(
-        self, solver, numbering, graph, seconds, degraded=False, report=None
-    ):
-        return TypeAnalysisResult(
-            facts=self.facts,
-            solver=solver,
-            seconds=seconds,
-            numbering=numbering,
-            call_graph=graph,
-            degraded=degraded,
-            degradation=report,
-        )
+    result_class = TypeAnalysisResult

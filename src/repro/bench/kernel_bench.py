@@ -173,30 +173,30 @@ def _analysis_without(disabled: Sequence[str]):
     from ..analysis.base import load_datalog_source, make_solver
 
     class Analysis(ContextSensitiveAnalysis):
-        def _obtain_call_graph(self):
+        def _context_insensitive(self, budget):
             return ContextInsensitiveAnalysis(
                 facts=self.facts,
                 type_filtering=True,
                 discover_call_graph=True,
-                backend=self.backend,
-                optimize=self.optimize,
-                disabled_passes=disabled,
-            ).run().discovered_call_graph
-
-        def _build_solver(
-            self, numbering, graph, order_spec, budget=None, install=True
-        ):
-            solver = make_solver(
-                self.facts,
-                load_datalog_source(self.algorithm, self.query_fragments),
-                size_overrides={"C": numbering.context_domain_size()},
-                order_spec=order_spec,
                 budget=budget,
                 backend=self.backend,
                 optimize=self.optimize,
                 disabled_passes=disabled,
+            ).run()
+
+        def _build_solver(self, numbering, graph, budget, resume=False):
+            solver = make_solver(
+                self.facts,
+                load_datalog_source(self.algorithm, self.query_fragments),
+                size_overrides={"C": numbering.context_domain_size()},
+                order_spec=self.order_spec,
+                budget=budget,
+                backend=self.backend,
+                optimize=self.optimize,
+                disabled_passes=disabled,
+                load_facts=not resume,
             )
-            if install:
+            if not resume:
                 self._install_numbering(solver, numbering, graph)
             return solver
 

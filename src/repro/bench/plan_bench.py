@@ -28,10 +28,9 @@ variant of Algorithm 3, each query fragment on the program it extends,
 and the magic-rewritten demand program of
 :class:`~repro.serve.demand.DemandEvaluator`.  Static counts depend
 only on the program text and the pass options; executed counts are
-taken on :data:`PROGRAM_ENTRIES`, entries small enough for CI.  The
-demand evaluator takes no ``optimize`` argument, so its counts follow
-``REPRO_PLAN_OPT``: check with the optimizer on, as the baseline was
-recorded.
+taken on :data:`PROGRAM_ENTRIES`, entries small enough for CI.  Every
+program pins ``optimize=True``, so the check holds whatever
+``REPRO_PLAN_OPT`` says.
 """
 
 from __future__ import annotations
@@ -292,7 +291,7 @@ def _demand_program(name, facts, graph, backend):
     from ..serve.demand import DemandEvaluator
 
     db = compile_database(corpus_entry(name).build(), backend=backend)
-    evaluator = DemandEvaluator(db, backend=backend)
+    evaluator = DemandEvaluator(db, backend=backend, optimize=True)
     for dom, ask in (("V", evaluator.points_to), ("M", evaluator.mod_ref)):
         size = facts.sizes[dom]
         for ordinal in range(0, size, max(1, size // _DEMAND_GOALS)):

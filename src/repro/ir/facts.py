@@ -32,6 +32,8 @@ in I.
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -56,7 +58,9 @@ from .program import (
 
 from .types import TypeHierarchy
 
-__all__ = ["Facts", "extract_facts", "NULL_NAME", "GLOBAL", "THROWN"]
+__all__ = [
+    "Facts", "extract_facts", "facts_digest", "NULL_NAME", "GLOBAL", "THROWN",
+]
 
 NULL_NAME = "<none>"  # the "special null method name" for non-virtual sites
 GLOBAL = "<global>"
@@ -163,6 +167,24 @@ class Facts:
 
     def __post_init__(self) -> None:
         self._var_reps: Dict[Tuple[str, str], str] = {}
+
+
+def facts_digest(facts: Facts) -> str:
+    """Canonical digest of a program's extracted facts.
+
+    Stable across processes for the same program (domain maps and input
+    relations fully determine the analysis input), usable as a program
+    identity even when no source text exists (generated corpus entries).
+    """
+    payload = {
+        "maps": facts.maps,
+        "relations": {
+            name: sorted(facts.relations[name])
+            for name in sorted(facts.relations)
+        },
+    }
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def _definition_counts(method: MethodDecl) -> Dict[str, int]:

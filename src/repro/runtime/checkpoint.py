@@ -52,6 +52,7 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
     "load_checkpoint_lines",
+    "read_checkpoint_meta",
 ]
 
 PathLike = Union[str, pathlib.Path]
@@ -174,14 +175,25 @@ def _read_header(path: pathlib.Path):
     return _parse_header(text.splitlines(), str(path))
 
 
-def _parse_header(lines: List[str], path: str):
+def read_checkpoint_meta(path: PathLike) -> Optional[Dict[str, Any]]:
+    """The meta record of the checkpoint at ``path``, read without its
+    payload; ``None`` when there is no file."""
+    try:
+        with open(path) as fh:
+            head = [fh.readline().rstrip("\n") for _ in range(2)]
+    except FileNotFoundError:
+        return None
+    except OSError as err:
+        raise CheckpointError(f"{path}: cannot read checkpoint: {err}")
+    return _parse_meta(head, str(path))
+
+
+def _parse_meta(lines: List[str], path: str) -> Dict[str, Any]:
     if not lines or lines[0].strip() != _MAGIC:
         raise CheckpointError(
             f"{path}:1: not a repro-checkpoint file (expected {_MAGIC!r})"
         )
-    if len(lines) < 4:
-        raise CheckpointError(f"{path}: truncated checkpoint header")
-    if not lines[1].startswith("meta "):
+    if len(lines) < 2 or not lines[1].startswith("meta "):
         raise CheckpointError(f"{path}:2: missing meta record")
     try:
         meta = json.loads(lines[1][len("meta "):])
@@ -200,6 +212,13 @@ def _parse_header(lines: List[str], path: str):
             f"re-run the solve to produce a fresh checkpoint)"
         )
     check_tool_version(meta, str(path), "checkpoint")
+    return meta
+
+
+def _parse_header(lines: List[str], path: str):
+    meta = _parse_meta(lines, path)
+    if len(lines) < 4:
+        raise CheckpointError(f"{path}: truncated checkpoint header")
     if not lines[2].startswith("sha256 "):
         raise CheckpointError(f"{path}:3: missing sha256 record")
     digest = lines[2][len("sha256 "):].strip()

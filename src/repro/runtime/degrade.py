@@ -21,12 +21,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List
 
-__all__ = ["Attempt", "DegradationReport", "LADDER"]
+__all__ = ["Attempt", "DegradationReport", "LADDER", "RUNGS"]
 
-# The rungs, cheapest-last.  ``resume`` only exists as an in-process
-# retry (it resumes from the checkpoint the failed ``full`` rung left);
-# the cross-process supervisor steps down the other three.
+# The rungs, cheapest-last.  One function runs each of them
+# (``ContextSensitiveAnalysis._rung``).  ``resume`` is the ``full`` rung
+# run again, loading the checkpoint the failed ``full`` attempt left: the
+# in-process ladder names that retry ``resume``, while the supervisor
+# retries a ``full`` job in a new process and steps down ``RUNGS``.
 LADDER = ("full", "resume", "truncated", "context_insensitive")
+RUNGS = tuple(mode for mode in LADDER if mode != "resume")
 
 
 @dataclass

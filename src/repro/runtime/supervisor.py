@@ -172,17 +172,16 @@ def classify_exit(
 
 def ladder_fallbacks(job: Dict[str, Any]) -> List[Dict[str, Any]]:
     """Degradation fallbacks for an analysis job: the same job with the
-    mode stepped down the ladder (``resume`` is in-process-only and is
-    skipped — a retried ``full`` attempt already resumes from the
-    checkpoint its predecessor left)."""
-    from .degrade import LADDER
+    mode stepped down :data:`~repro.runtime.degrade.RUNGS`.  There is no
+    ``resume`` step: a retried ``full`` attempt is the ``resume`` rung,
+    since it loads the checkpoint its predecessor left."""
+    from .degrade import RUNGS
 
     mode = job.get("mode", "full")
-    steps = [m for m in LADDER if m != "resume"]
-    if mode not in steps:
+    if mode not in RUNGS:
         return []
     out = []
-    for nxt in steps[steps.index(mode) + 1:]:
+    for nxt in RUNGS[RUNGS.index(mode) + 1:]:
         step = dict(job)
         step["mode"] = nxt
         out.append(step)

@@ -45,7 +45,7 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
 from ..bdd import BDDError, Domain, create_kernel
 from ..bdd.serialize import dump_bdd_lines, parse_bdd_lines
 from ..datalog.relation import Attribute, Relation
-from ..ir.facts import Facts, extract_facts
+from ..ir.facts import Facts, extract_facts, facts_digest
 from ..runtime import InvalidInputError, ResourceBudget, faults
 from ..runtime.atomic import atomic_write_text
 from ..runtime.version import check_tool_version, tool_meta
@@ -69,24 +69,6 @@ _MAGIC = "# repro-ptdb 1"
 # in file order.  ``vP`` is materialized at compile time (the context
 # projection of ``vPC``) so point lookups need no quantification.
 _BDD_RELATIONS = ("vPC", "vP", "hP", "mod", "ref")
-
-
-def facts_digest(facts: Facts) -> str:
-    """Canonical digest of a program's extracted facts.
-
-    Stable across processes for the same program (domain maps and input
-    relations fully determine the analysis input), usable as a program
-    identity even when no source text exists (generated corpus entries).
-    """
-    payload = {
-        "maps": facts.maps,
-        "relations": {
-            name: sorted(facts.relations[name])
-            for name in sorted(facts.relations)
-        },
-    }
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode()).hexdigest()
 
 
 @dataclass(frozen=True)

@@ -99,7 +99,13 @@ def _logical_order(spec: str) -> str:
 class DemandEvaluator:
     """One goal-directed solver per loaded database (per serve epoch)."""
 
-    def __init__(self, db, *, backend: Optional[str] = None) -> None:
+    def __init__(
+        self,
+        db,
+        *,
+        backend: Optional[str] = None,
+        optimize: Optional[bool] = None,
+    ) -> None:
         meta = db.meta
         try:
             facts = FactSet.from_db_meta(meta, name=db.path or "<db>")
@@ -149,6 +155,7 @@ class DemandEvaluator:
             ),
             name_maps=name_maps,
             backend=backend,
+            optimize=optimize,
             gc_threshold=_GC_THRESHOLD,
             cache_limit=_CACHE_LIMIT,
         )

@@ -13,13 +13,15 @@ combination must reproduce it:
   (the model of the edited facts is what a fresh solve computes);
 * :meth:`Solver.solve_demand` over the magic-rewritten program: every
   answer equals the full model projected onto the goal's bindings;
-* fault recovery: an injected ``exception@solver.stratum#k``, or a
-  :class:`NodeBudgetExceeded` from a small ``node_budget``, in the
-  middle of a demand call or of a grow-only incremental call, after
-  which the next demand call with the same seeds, or the next
-  :meth:`Solver.solve`, reaches the model.  A node budget that small
-  also drops the watchdog stride, so the packed backend's compiled
-  recursions are rebuilt mid-sequence;
+* fault recovery: an injected ``exception@solver.stratum#k``, a
+  :class:`NodeBudgetExceeded` from a small ``node_budget``, or a
+  :class:`SolverTimeout` at the k-th watchdog check, in the middle of a
+  demand call or of a grow-only incremental call, after which the next
+  demand call with the same seeds, or the next :meth:`Solver.solve`,
+  reaches the model.  A node budget that small also drops the watchdog
+  stride, so the packed backend's compiled recursions are rebuilt
+  mid-sequence.  The timeout's clock steps once per reading, so no test
+  waits on wall-clock time;
 * checkpoint resume: the same faults in the middle of a full solve,
   whose checkpoint a fresh solver under either backend loads and
   resumes with ``solve(start_stratum)``;
@@ -45,7 +47,13 @@ from repro.bdd import FALSE
 from repro.datalog import Solver, parse_program
 from repro.datalog.magic import magic_rewrite
 from repro.datalog.passes import build_plans
-from repro.runtime import NodeBudgetExceeded, ResourceBudget, faults
+from repro.runtime import (
+    NodeBudgetExceeded,
+    ResourceBudget,
+    SolverTimeout,
+    budget as budget_module,
+    faults,
+)
 from repro.runtime.checkpoint import checkpoint_lines, load_checkpoint_lines
 
 # ----------------------------------------------------------------------
@@ -216,7 +224,8 @@ class Case:
     goals: List[Tuple[str, str, tuple]]
     # The fault a resumption property injects: ("exception", k) raises
     # at the k-th stratum; ("budget", n) runs the call under a node
-    # budget of n.
+    # budget of n; ("timeout", k) expires its deadline at the k-th
+    # watchdog check.
     fault: Tuple[str, int]
     # Collect garbage on every semi-naive iteration (gc_threshold=1).
     collect: bool = False
@@ -256,6 +265,7 @@ def cases(draw) -> Case:
     fault = draw(st.one_of(
         st.tuples(st.just("exception"), st.integers(1, 8)),
         st.tuples(st.just("budget"), st.integers(1, 400)),
+        st.tuples(st.just("timeout"), st.integers(1, 20)),
     ))
     cache_limit = draw(st.one_of(st.none(), st.integers(0, 16)))
     return Case(program, facts, edits, goals, fault, draw(st.booleans()),
@@ -511,6 +521,18 @@ def test_demand_matches_full_solve_on_goal(naive, backend, optimize, case):
             demand.check(earlier)
 
 
+class _SteppingClock:
+    """Stands in for the budget module's ``time``: every reading of the
+    clock advances it by one second."""
+
+    def __init__(self) -> None:
+        self.now = 0.0
+
+    def monotonic(self) -> float:
+        self.now += 1.0
+        return self.now
+
+
 def _fault_then(call, fault: Tuple[str, int]) -> None:
     """Run ``call(budget)`` under the case's fault; it may fail."""
     kind, n = fault
@@ -519,6 +541,16 @@ def _fault_then(call, fault: Tuple[str, int]) -> None:
             call(ResourceBudget(node_budget=n))
         except NodeBudgetExceeded:
             pass
+        return
+    if kind == "timeout":
+        # The budget's first reading fixes the deadline at 1 + n - 0.5;
+        # the k-th watchdog check reads 1 + k, so the n-th one expires it.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(budget_module, "time", _SteppingClock())
+            try:
+                call(ResourceBudget(timeout=n - 0.5))
+            except SolverTimeout:
+                pass
         return
     faults.arm(f"exception@solver.stratum#{n}")
     try:

@@ -163,6 +163,17 @@ def test_recorded_order_in_logical_form():
     assert _logical_order("") == ""
 
 
+def test_pinned_optimizer_ignores_plan_opt_env(restricted_db, monkeypatch):
+    # ``optimize=True`` fixes the demand program's plans, as it does every
+    # other program's; left unset, the environment switch still applies.
+    monkeypatch.delenv("REPRO_PLAN_OPT", raising=False)
+    want = DemandEvaluator(restricted_db, optimize=True).solver.plan_op_counts()
+    monkeypatch.setenv("REPRO_PLAN_OPT", "off")
+    pinned = DemandEvaluator(restricted_db, optimize=True)
+    assert pinned.solver.plan_op_counts() == want
+    assert DemandEvaluator(restricted_db).solver.plan_op_counts() != want
+
+
 class TestWholeEpochIdentity:
     """Every uncovered variable of a generated program, asked in one
     epoch of one evaluator.  The program is large enough that the epoch
