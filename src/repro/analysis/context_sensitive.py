@@ -41,8 +41,8 @@ from ..runtime import (
     NodeBudgetExceeded,
     ReproError,
     ResourceBudget,
-    load_checkpoint,
-    read_checkpoint_meta,
+    load_checkpoint_lines,
+    read_checkpoint,
     save_checkpoint,
 )
 from ..runtime.degrade import LADDER, RUNGS
@@ -235,7 +235,7 @@ class ContextSensitiveAnalysis:
         faults propagate to the caller after the first attempt.
         """
         if self.budget is None or not self.degrade:
-            return self.run_rung("full")
+            return self._single("full", late_save=False)
         return self._run_ladder()
 
     def run_rung(self, mode: str = "full") -> AnalysisResult:
@@ -245,21 +245,26 @@ class ContextSensitiveAnalysis:
         (the supervisor, another process, owns that policy).  With
         ``checkpoint_dir`` set, a ``full`` rung resumes from the
         checkpoint there when it was taken from this program, and on any
-        fault checkpoints the strata completed so far, so a retried
-        attempt does not redo finished work.  The result's ``resumed``
-        attribute reports whether a checkpoint was consumed.
+        fault, even after its deadline, checkpoints the strata completed
+        so far, so a retried attempt does not redo finished work.  The
+        result's ``resumed`` attribute reports whether a checkpoint was
+        consumed.
         """
         if mode not in RUNGS:
             raise AnalysisError(
                 f"run_rung mode must be one of {', '.join(map(repr, RUNGS))}, "
                 f"got {mode!r}"
             )
+        return self._single(mode, late_save=True)
+
+    def _single(self, mode: str, late_save: bool) -> AnalysisResult:
+        """One rung under this analysis's own budget and checkpoint
+        directory, timed from before the call graph is obtained."""
         start = time.monotonic()
         graph = None if mode == "context_insensitive" else self._obtain_call_graph()
-        checkpoint = None
-        if self.checkpoint_dir is not None:
-            checkpoint = pathlib.Path(self.checkpoint_dir) / CHECKPOINT_NAME
-        result = self._rung(mode, self.budget, graph, checkpoint)
+        result = self._rung(
+            mode, self.budget, graph, self.checkpoint_dir, late_save
+        )
         result.seconds = time.monotonic() - start
         return result
 
@@ -268,18 +273,22 @@ class ContextSensitiveAnalysis:
         mode: str,
         budget: Optional[ResourceBudget],
         graph: Optional[CallGraph] = None,
-        checkpoint: Optional[pathlib.Path] = None,
+        checkpoint_dir: Optional[str] = None,
+        late_save: bool = False,
     ) -> AnalysisResult:
         """Run one rung; the result's ``seconds`` time this call.
 
         ``context_insensitive`` runs Algorithm 3.  ``full`` and
         ``truncated`` number ``graph`` (``truncated`` merges the contexts
         of each method beyond ``truncate_cap``), then build, install and
-        solve the cloned program.  Given a ``checkpoint`` path, a
-        ``full`` rung first resumes from the checkpoint there if it was
-        taken from these facts, this program and this numbering (and
-        deletes it once solved), and on a fault saves the strata that
-        reached fixpoint there before re-raising.
+        solve the cloned program.  Given a ``checkpoint_dir``, a ``full``
+        rung first resumes from the checkpoint there (and deletes it once
+        solved), and on a fault saves the strata that reached fixpoint
+        there before re-raising; it saves after its deadline has expired
+        only with ``late_save``.  A user's ``checkpoint_dir`` may hold
+        another program's checkpoint, so there the rung resumes only from
+        one taken from these facts, this program and this numbering; the
+        ladder's temporary directory holds this run's alone.
         """
         start = time.monotonic()
         if mode == "context_insensitive":
@@ -290,35 +299,39 @@ class ContextSensitiveAnalysis:
         numbering = self._number(
             graph, cap=self.truncate_cap if mode == "truncated" else None
         )
-        if mode != "full":
-            checkpoint = None
-        resume = False
-        if checkpoint is not None:
+        checkpoint = saved = None
+        identity: Dict[str, str] = {}
+        if mode == "full" and checkpoint_dir is not None:
+            checkpoint = pathlib.Path(checkpoint_dir) / CHECKPOINT_NAME
+            if self.checkpoint_dir is not None:
+                identity = self._checkpoint_identity(numbering)
             try:
-                meta = read_checkpoint_meta(checkpoint)
+                saved = read_checkpoint(checkpoint)
             except ReproError:
-                meta = None  # an unreadable header names no program
-            resume = meta is not None and all(
-                meta.get(key) == value
-                for key, value in self._checkpoint_identity(numbering).items()
-            )
+                pass  # an unreadable file names no program
+            if saved is not None and any(
+                saved[0].get(key) != value for key, value in identity.items()
+            ):
+                saved = None
+        resume = saved is not None
         solver = self._build_solver(numbering, graph, budget, resume=resume)
         start_stratum = 0
         if resume:
-            start_stratum = load_checkpoint(solver, checkpoint).next_stratum
+            start_stratum = load_checkpoint_lines(
+                solver, saved[1], str(checkpoint)
+            ).next_stratum
+            del saved
         try:
             solver.solve(start_stratum=start_stratum)
         except BaseException:
-            # A checkpoint in the ladder's temporary directory serves
-            # only its ``resume`` rung, which an expired deadline skips.
             if checkpoint is not None and (
-                self.checkpoint_dir is not None or not budget.expired()
+                late_save or budget is None or not budget.expired()
             ):
                 try:
                     save_checkpoint(
                         solver, checkpoint,
                         next_stratum=solver.last_completed_stratum + 1,
-                        extra_meta=self._checkpoint_identity(numbering),
+                        extra_meta=identity,
                     )
                 except Exception:
                     pass  # the original fault matters more
@@ -364,7 +377,6 @@ class ContextSensitiveAnalysis:
         else:
             holder = contextlib.nullcontext(self.checkpoint_dir)
         with holder as ckpt_dir:
-            checkpoint = pathlib.Path(ckpt_dir) / CHECKPOINT_NAME
             err: Optional[ReproError] = None
             for mode in LADDER:
                 if mode == "resume" and not isinstance(err, NodeBudgetExceeded):
@@ -376,7 +388,7 @@ class ContextSensitiveAnalysis:
                     if mode != "context_insensitive":
                         result = self._rung(
                             "full" if mode == "resume" else mode,
-                            budget, graph, checkpoint,
+                            budget, graph, ckpt_dir,
                         )
                     elif discovered is not None:
                         result, t0 = discovered, t0 - discovered.seconds

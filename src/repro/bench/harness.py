@@ -29,6 +29,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
 import random
 import time
 from dataclasses import dataclass, field
@@ -353,7 +354,11 @@ def run_corpus_supervised(
             "name": name,
             "timeout": timeout,
             "node_budget": node_budget,
-            "checkpoint_dir": checkpoint_dir,
+            # Entries run in parallel: one checkpoint subdirectory each.
+            "checkpoint_dir": (
+                None if checkpoint_dir is None
+                else os.path.join(checkpoint_dir, name)
+            ),
             "backend": backend,
         }
         if entry_env and name in entry_env:

@@ -230,7 +230,14 @@ def _cmd_analyze_isolated(args, paths: List[str]) -> int:
     from .runtime.worker import WorkerPool, default_jobs
 
     jobs = []
-    for path in paths:
+    for index, path in enumerate(paths):
+        # Workers run in parallel, so each program checkpoints into its
+        # own subdirectory and none overwrites or deletes another's.
+        checkpoint_dir = args.checkpoint_dir
+        if checkpoint_dir is not None and len(paths) > 1:
+            checkpoint_dir = os.path.join(
+                checkpoint_dir, f"{index}-{pathlib.Path(path).stem}"
+            )
         jobs.append(
             {
                 "kind": "analyze",
@@ -242,7 +249,7 @@ def _cmd_analyze_isolated(args, paths: List[str]) -> int:
                 "timeout": args.timeout,
                 "node_budget": args.node_budget,
                 "max_iterations": args.max_iterations,
-                "checkpoint_dir": args.checkpoint_dir,
+                "checkpoint_dir": checkpoint_dir,
                 "vars": list(args.var or ()),
                 "backend": args.backend,
                 "optimize": _optimize(args),

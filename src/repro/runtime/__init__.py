@@ -71,7 +71,7 @@ __all__ = [
     "checkpoint_lines",
     "load_checkpoint",
     "load_checkpoint_lines",
-    "read_checkpoint_meta",
+    "read_checkpoint",
     "save_checkpoint",
 ]
 
@@ -81,7 +81,7 @@ _LAZY = {
     "checkpoint_lines": "checkpoint",
     "load_checkpoint": "checkpoint",
     "load_checkpoint_lines": "checkpoint",
-    "read_checkpoint_meta": "checkpoint",
+    "read_checkpoint": "checkpoint",
     "save_checkpoint": "checkpoint",
     "Supervisor": "supervisor",
     "SupervisorConfig": "supervisor",

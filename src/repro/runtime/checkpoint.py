@@ -52,7 +52,7 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
     "load_checkpoint_lines",
-    "read_checkpoint_meta",
+    "read_checkpoint",
 ]
 
 PathLike = Union[str, pathlib.Path]
@@ -175,17 +175,19 @@ def _read_header(path: pathlib.Path):
     return _parse_header(text.splitlines(), str(path))
 
 
-def read_checkpoint_meta(path: PathLike) -> Optional[Dict[str, Any]]:
-    """The meta record of the checkpoint at ``path``, read without its
-    payload; ``None`` when there is no file."""
+def read_checkpoint(path: PathLike) -> Optional[Tuple[Dict[str, Any], List[str]]]:
+    """Read the checkpoint at ``path`` once: its meta record and its
+    document lines, which :func:`load_checkpoint_lines` then loads.
+    Checking the meta and loading the very lines it came from leaves no
+    window in which another writer's file can replace the one checked.
+    ``None`` when there is no file."""
     try:
-        with open(path) as fh:
-            head = [fh.readline().rstrip("\n") for _ in range(2)]
+        lines = pathlib.Path(path).read_text().splitlines()
     except FileNotFoundError:
         return None
     except OSError as err:
         raise CheckpointError(f"{path}: cannot read checkpoint: {err}")
-    return _parse_meta(head, str(path))
+    return _parse_meta(lines, str(path)), lines
 
 
 def _parse_meta(lines: List[str], path: str) -> Dict[str, Any]:

@@ -11,7 +11,13 @@ import pytest
 from repro.analysis import ContextSensitiveAnalysis
 from repro.ir.facts import extract_facts
 from repro.ir.frontend import parse_program
-from repro.runtime import faults, save_checkpoint
+from repro.runtime import (
+    ResourceBudget,
+    SolverTimeout,
+    budget as budget_module,
+    faults,
+    save_checkpoint,
+)
 
 SOURCE = """
 class Helper {{
@@ -50,20 +56,25 @@ def _stratum_hits(facts):
     return discovery, total
 
 
-def test_rung_ignores_another_programs_checkpoint(tmp_path):
-    first, second = _facts("a"), _facts("h")
-    assert first.sizes == second.sizes
-    discovery, total = _stratum_hits(first)
+def _fault_full_rung(facts, checkpoint_dir):
+    """A ``full`` rung that faults in its last stratum and checkpoints."""
+    discovery, total = _stratum_hits(facts)
     assert total - discovery > 2
     faults.arm(f"exception@solver.stratum#{total - 1}")
     try:
         with pytest.raises(faults.FaultError):
             ContextSensitiveAnalysis(
-                facts=first, checkpoint_dir=str(tmp_path)
+                facts=facts, checkpoint_dir=str(checkpoint_dir)
             ).run_rung("full")
     finally:
         faults.disarm()
-    assert (tmp_path / "context_sensitive.ckpt").exists()
+    return checkpoint_dir / "context_sensitive.ckpt"
+
+
+def test_rung_ignores_another_programs_checkpoint(tmp_path):
+    first, second = _facts("a"), _facts("h")
+    assert first.sizes == second.sizes
+    assert _fault_full_rung(first, tmp_path).exists()
 
     fresh = ContextSensitiveAnalysis(facts=second).run_rung("full")
     result = ContextSensitiveAnalysis(
@@ -95,15 +106,7 @@ def test_rung_ignores_a_checkpoint_it_cannot_identify(tmp_path, stale):
 
 def test_rung_resumes_from_its_own_checkpoint(tmp_path):
     facts = _facts("a")
-    discovery, total = _stratum_hits(facts)
-    faults.arm(f"exception@solver.stratum#{total - 1}")
-    try:
-        with pytest.raises(faults.FaultError):
-            ContextSensitiveAnalysis(
-                facts=facts, checkpoint_dir=str(tmp_path)
-            ).run_rung("full")
-    finally:
-        faults.disarm()
+    _fault_full_rung(facts, tmp_path)
     fresh = ContextSensitiveAnalysis(facts=facts).run_rung("full")
     result = ContextSensitiveAnalysis(
         facts=facts, checkpoint_dir=str(tmp_path)
@@ -111,3 +114,63 @@ def test_rung_resumes_from_its_own_checkpoint(tmp_path):
     assert result.resumed is True
     assert set(result._points_to_tuples()) == set(fresh._points_to_tuples())
     assert not (tmp_path / "context_sensitive.ckpt").exists()
+
+
+def test_rung_loads_the_checkpoint_it_checked(tmp_path, monkeypatch):
+    """Another program's checkpoint replaces the file after the rung
+    checked it and before it loads: the rung loads what it checked."""
+    first, second = _facts("a"), _facts("h")
+    other = _fault_full_rung(first, tmp_path / "first")
+    own = _fault_full_rung(second, tmp_path / "second")
+    build = ContextSensitiveAnalysis._build_solver
+
+    def swap_then_build(self, *args, **kwargs):
+        own.write_bytes(other.read_bytes())
+        return build(self, *args, **kwargs)
+
+    monkeypatch.setattr(
+        ContextSensitiveAnalysis, "_build_solver", swap_then_build
+    )
+    result = ContextSensitiveAnalysis(
+        facts=second, checkpoint_dir=str(tmp_path / "second")
+    ).run_rung("full")
+    monkeypatch.undo()
+    fresh = ContextSensitiveAnalysis(facts=second).run_rung("full")
+    assert result.resumed is True
+    assert set(result._points_to_tuples()) == set(fresh._points_to_tuples())
+
+
+class _SteppingClock:
+    """Stands in for the budget module's ``time``: every reading of the
+    clock advances it by one second."""
+
+    def __init__(self) -> None:
+        self.now = 0.0
+
+    def monotonic(self) -> float:
+        self.now += 1.0
+        return self.now
+
+
+@pytest.mark.parametrize("call", ["run", "ladder", "run_rung"])
+def test_rung_saves_after_its_deadline_only_for_a_supervisor(
+    tmp_path, monkeypatch, call
+):
+    """In-process runs answer within their deadline, so a timed-out rung
+    saves no checkpoint there; a supervised rung still saves one."""
+    analysis = ContextSensitiveAnalysis(
+        facts=_facts("a"),
+        use_cha_graph=True,
+        budget=ResourceBudget(timeout=1.5),
+        degrade=call == "ladder",
+        checkpoint_dir=str(tmp_path),
+    )
+    monkeypatch.setattr(budget_module, "time", _SteppingClock())
+    with pytest.raises(SolverTimeout):
+        if call == "run_rung":
+            analysis.run_rung("full")
+        else:
+            analysis.run()
+    assert (tmp_path / "context_sensitive.ckpt").exists() is (
+        call == "run_rung"
+    )

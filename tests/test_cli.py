@@ -393,6 +393,26 @@ class TestIsolate:
         captured = capsys.readouterr()
         assert "degraded to mode=" in captured.err
 
+    def test_programs_checkpoint_into_their_own_subdirectories(
+        self, clean_file, tmp_path, capsys, monkeypatch
+    ):
+        # Parallel workers sharing one checkpoint file would overwrite,
+        # and on success delete, each other's checkpoints.
+        other = tmp_path / "other.mj"
+        other.write_text(CLEAN)
+        monkeypatch.setenv("REPRO_FAULT", "exception@solver.stratum#25")
+        ckpt = tmp_path / "ckpt"
+        code = main(["analyze", clean_file, str(other), "--no-library",
+                     "--context-sensitive", "--isolate", "--jobs", "2",
+                     "--no-degrade", "--retries", "0",
+                     "--checkpoint-dir", str(ckpt)])
+        assert code == 70
+        assert sorted(p.relative_to(ckpt).as_posix()
+                      for p in ckpt.rglob("*.ckpt")) == [
+            "0-clean/context_sensitive.ckpt",
+            "1-other/context_sensitive.ckpt",
+        ]
+
     def test_poisoned_program_does_not_stop_others(
         self, clean_file, vulnerable_file, tmp_path, capsys
     ):
