@@ -59,7 +59,6 @@ def make_solver(
     size_overrides: Optional[Dict[str, int]] = None,
     order_spec: Optional[str] = None,
     naive: bool = False,
-    extra_text: str = "",
     budget: Optional[ResourceBudget] = None,
     backend: Optional[str] = None,
     optimize: Optional[bool] = None,
@@ -80,8 +79,6 @@ def make_solver(
     gets its own ``domains`` and ``relations`` dicts, since sizing
     replaces domain entries; the rule list is shared and never changed.
     """
-    if extra_text:
-        source = source + "\n" + extra_text
     parsed = _parsed(source)
     program = ProgramAST(
         domains=dict(parsed.domains),

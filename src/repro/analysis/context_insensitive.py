@@ -128,7 +128,6 @@ class ContextInsensitiveAnalysis:
         order_spec: Optional[str] = None,
         naive: bool = False,
         query_fragments: Sequence[str] = (),
-        extra_text: str = "",
         budget=None,
         backend: Optional[str] = None,
         optimize: Optional[bool] = None,
@@ -145,7 +144,6 @@ class ContextInsensitiveAnalysis:
         self.order_spec = order_spec
         self.naive = naive
         self.query_fragments = tuple(query_fragments)
-        self.extra_text = extra_text
         self.budget = budget
         self.backend = backend
         self.optimize = optimize
@@ -164,7 +162,6 @@ class ContextInsensitiveAnalysis:
             source,
             order_spec=self.order_spec,
             naive=self.naive,
-            extra_text=self.extra_text,
             budget=self.budget,
             backend=self.backend,
             optimize=self.optimize,

@@ -29,7 +29,6 @@ from typing import Dict, Optional, Sequence, Set
 from ..callgraph import (
     CallGraph,
     ContextNumbering,
-    cha_call_graph,
     number_call_graph,
     number_call_graph_1cfa,
 )
@@ -111,13 +110,9 @@ class ContextSensitiveAnalysis:
         program: Optional[Program] = None,
         facts: Optional[Facts] = None,
         call_graph: Optional[CallGraph] = None,
-        use_cha_graph: bool = False,
-        context_cap: Optional[int] = None,
         context_policy: str = "paths",
         order_spec: Optional[str] = None,
-        naive: bool = False,
         query_fragments: Sequence[str] = (),
-        extra_text: str = "",
         budget: Optional[ResourceBudget] = None,
         checkpoint_dir: Optional[str] = None,
         degrade: bool = True,
@@ -135,13 +130,9 @@ class ContextSensitiveAnalysis:
             )
         self.facts = facts
         self.call_graph = call_graph
-        self.use_cha_graph = use_cha_graph
-        self.context_cap = context_cap
         self.context_policy = context_policy
         self.order_spec = order_spec
-        self.naive = naive
         self.query_fragments = tuple(query_fragments)
-        self.extra_text = extra_text
         self.budget = budget
         self.checkpoint_dir = checkpoint_dir
         self.degrade = degrade
@@ -162,18 +153,18 @@ class ContextSensitiveAnalysis:
         ).run()
 
     def _obtain_call_graph(self) -> CallGraph:
+        """The given call graph, or Algorithm 3's, discovered under this
+        analysis's deadline (which starts here)."""
         if self.call_graph is not None:
             return self.call_graph
-        if self.use_cha_graph:
-            return cha_call_graph(self.facts)
-        return self._context_insensitive(None).discovered_call_graph
+        budget = None if self.budget is None else self.budget.share_deadline()
+        return self._context_insensitive(budget).discovered_call_graph
 
     def _number(self, graph: CallGraph, cap: Optional[int] = None) -> ContextNumbering:
         entries = self.facts.entry_method_ids()
         if cap is None and self.context_policy == "1cfa":
             return number_call_graph_1cfa(graph, entries=entries)
-        use_cap = cap if cap is not None else self.context_cap
-        return number_call_graph(graph, entries=entries, cap=use_cap)
+        return number_call_graph(graph, entries=entries, cap=cap)
 
     def _source(self) -> str:
         return load_datalog_source(self.algorithm, self.query_fragments)
@@ -192,8 +183,6 @@ class ContextSensitiveAnalysis:
             self._source(),
             size_overrides={"C": numbering.context_domain_size()},
             order_spec=self.order_spec,
-            naive=self.naive,
-            extra_text=self.extra_text,
             budget=budget,
             backend=self.backend,
             optimize=self.optimize,
@@ -212,7 +201,6 @@ class ContextSensitiveAnalysis:
         these facts, and this Datalog program over this numbering."""
         program = "\n".join((
             self._source(),
-            self.extra_text,
             repr(numbering.ranges),
             repr(sorted(numbering.counts.items())),
         ))
@@ -367,11 +355,11 @@ class ContextSensitiveAnalysis:
         report = DegradationReport()
         start = time.monotonic()
         discovered = None
-        if self.call_graph is None and not self.use_cha_graph:
+        if self.call_graph is None:
             discovered = self._rung("context_insensitive", budget.share_deadline())
             graph = discovered.discovered_call_graph
         else:
-            graph = self._obtain_call_graph()
+            graph = self.call_graph
         if self.checkpoint_dir is None:
             holder = tempfile.TemporaryDirectory(prefix="repro-ckpt-")
         else:

@@ -29,7 +29,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..callgraph import CallGraph, cha_call_graph
+from ..callgraph import CallGraph
 from ..ir.facts import Facts, extract_facts
 from ..ir.program import Program
 from .base import AnalysisError, AnalysisResult, load_datalog_source, make_solver
@@ -284,7 +284,6 @@ class ThreadEscapeAnalysis:
         program: Optional[Program] = None,
         facts: Optional[Facts] = None,
         call_graph: Optional[CallGraph] = None,
-        use_cha_graph: bool = False,
         order_spec: Optional[str] = None,
         budget=None,
         backend: Optional[str] = None,
@@ -298,7 +297,6 @@ class ThreadEscapeAnalysis:
         self.facts = facts
         self.thread_sites = thread_sites
         self.call_graph = call_graph
-        self.use_cha_graph = use_cha_graph
         self.order_spec = order_spec
         self.budget = budget
         self.backend = backend
@@ -307,14 +305,15 @@ class ThreadEscapeAnalysis:
     # ------------------------------------------------------------------
 
     def _obtain_call_graph(self) -> CallGraph:
+        """The given call graph, or Algorithm 3's, discovered under this
+        analysis's deadline (which starts here)."""
         if self.call_graph is not None:
             return self.call_graph
-        if self.use_cha_graph:
-            return cha_call_graph(self.facts)
         ci = ContextInsensitiveAnalysis(
             facts=self.facts,
             type_filtering=True,
             discover_call_graph=True,
+            budget=None if self.budget is None else self.budget.share_deadline(),
             backend=self.backend,
             optimize=self.optimize,
         ).run()

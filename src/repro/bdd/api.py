@@ -28,9 +28,18 @@ Built-in backends
 ``packed`` (the default)
     The optimized backend: packed-integer cache keys (no tuple
     allocation on the hot path), one unified operation cache with
-    clear-on-overflow, and iterative (explicit-stack) ``apply`` /
-    ``exist`` / ``rel_prod`` / ``not_`` / ``ite`` / ``replace`` so deep
-    diagrams cannot hit ``RecursionError``.
+    clear-on-overflow, and depth-safe ``apply`` / ``exist`` /
+    ``rel_prod`` / ``ite`` / ``replace``: closure-form recursion on
+    arenas narrow enough for the interpreter's recursion limit,
+    explicit-stack loops on wider ones, so no diagram can hit
+    ``RecursionError``.
+
+The contract is what the pipeline calls: the relational operations
+Datalog rules compile to (``rel_prod``, ``exist``, ``replace``,
+``and_``, ``or_``, ``diff``), the finite-domain encoders, garbage collection and the
+serialization hooks, plus ``not_`` / ``ite`` / ``support`` /
+``var_of``, which the ``replace`` ite path, ``sat_count`` and
+:mod:`repro.bdd.reorder` use.
 
 All backends build *identical* reduced ordered BDDs for the same
 variable order, so serialized artifacts (``.ptdb`` databases,
@@ -115,10 +124,6 @@ class BddKernel(ABC):
     # ------------------------------------------------------------------
 
     @abstractmethod
-    def add_vars(self, count: int) -> int:
-        """Grow the variable universe by ``count`` levels; return new total."""
-
-    @abstractmethod
     def var_of(self, u: int) -> int:
         """Level of the root variable of ``u`` (sentinel for terminals)."""
 
@@ -133,10 +138,6 @@ class BddKernel(ABC):
     @abstractmethod
     def node_count(self) -> int:
         """Number of allocated nodes, including the two terminals."""
-
-    @abstractmethod
-    def is_terminal(self, u: int) -> bool:
-        """True for the ``FALSE``/``TRUE`` handles."""
 
     @abstractmethod
     def mk(self, var: int, low: int, high: int) -> int:
@@ -171,24 +172,12 @@ class BddKernel(ABC):
         """``a AND NOT b`` — the relational difference."""
 
     @abstractmethod
-    def xor(self, a: int, b: int) -> int:
-        """Exclusive or."""
-
-    @abstractmethod
     def not_(self, a: int) -> int:
         """Negation."""
 
     @abstractmethod
     def ite(self, f: int, g: int, h: int) -> int:
         """If-then-else: ``(f AND g) OR (NOT f AND h)``, order-correct."""
-
-    @abstractmethod
-    def implies(self, a: int, b: int) -> int:
-        """``a -> b`` as a BDD (used by query post-processing)."""
-
-    @abstractmethod
-    def iff(self, a: int, b: int) -> int:
-        """``a <-> b`` — the complement of XOR."""
 
     # ------------------------------------------------------------------
     # Quantification, relational product, renaming
@@ -199,16 +188,8 @@ class BddKernel(ABC):
         """Intern a set of levels for quantification; returns a varset id."""
 
     @abstractmethod
-    def varset_levels(self, varset_id: int) -> frozenset:
-        """The levels behind an interned varset id."""
-
-    @abstractmethod
     def exist(self, u: int, varset_id: int) -> int:
         """Existentially quantify the varset's levels out of ``u``."""
-
-    @abstractmethod
-    def forall(self, u: int, varset_id: int) -> int:
-        """Universal quantification: dual of :meth:`exist`."""
 
     @abstractmethod
     def rel_prod(self, a: int, b: int, varset_id: int) -> int:
@@ -223,17 +204,8 @@ class BddKernel(ABC):
     def replace(self, u: int, map_id: int) -> int:
         """Rename variables of ``u`` according to an interned mapping."""
 
-    def rel_prod_replace(
-        self, a: int, b: int, varset_id: int, map_id: int
-    ) -> int:
-        """``replace(rel_prod(a, b, varset), map)`` as one kernel call —
-        the fused superop the plan optimizer emits for a rename whose
-        sole input is a join.  The default composes the two primitives;
-        backends may override with a single-pass implementation."""
-        return self.replace(self.rel_prod(a, b, varset_id), map_id)
-
     # ------------------------------------------------------------------
-    # Counting, enumeration, cofactoring
+    # Counting and enumeration
     # ------------------------------------------------------------------
 
     @abstractmethod
@@ -248,10 +220,6 @@ class BddKernel(ABC):
     @abstractmethod
     def iter_assignments(self, u: int, levels: Sequence[int]) -> Iterator[Tuple[int, ...]]:
         """Yield all satisfying assignments as bit tuples over ``levels``."""
-
-    @abstractmethod
-    def restrict(self, u: int, assignment: Dict[int, bool]) -> int:
-        """Cofactor ``u`` by fixing the given levels to constants."""
 
     # ------------------------------------------------------------------
     # Memory management and instrumentation
@@ -269,7 +237,7 @@ class BddKernel(ABC):
 
     @abstractmethod
     def clear_caches(self) -> None:
-        """Drop operation caches (overflow, GC, rebuilds, benchmarks)."""
+        """Drop operation caches (overflow, GC, rebuilds)."""
 
     @abstractmethod
     def trim_caches(self) -> None:
@@ -287,7 +255,7 @@ class BddKernel(ABC):
         """Remove the cooperative watchdog."""
 
     # ------------------------------------------------------------------
-    # Serialization hooks and debugging
+    # Serialization hooks
     # ------------------------------------------------------------------
     # export_nodes/import_nodes are the serialize hooks: dump formats the
     # first's output, load feeds the second, so any conforming backend
@@ -323,10 +291,6 @@ class BddKernel(ABC):
         holds: reduction, hash-consing, the level check, ``peak_nodes``
         and the watchdog / fault-injection / cache-trim service.
         """
-
-    @abstractmethod
-    def to_dot(self, u: int, name: str = "bdd") -> str:
-        """Graphviz rendering of the BDD rooted at ``u`` (debugging)."""
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,7 @@ nodes (the GC threshold grows arenas to a few million).  Layouts, with
 
 ====================  ===============================================
 unique (own table)    ``(var << 54) | (low << 27) | high``
-and/or/diff/xor       ``(op << 54) | (a << 27) | b``    (op in 0..3)
+and/or/diff           ``(op << 54) | (a << 27) | b``    (op in 0..2)
 not                   ``(4 << 54) | a``                 (bidirectional)
 ite                   ``(5 << 81) | (f << 54) | (g << 27) | h``
 exist                 ``(6 << 54) | (vid << 27) | u``
@@ -22,17 +22,17 @@ replace               ``(8 << 54) | (mid << 27) | u``
 ====================  ===============================================
 
 The shapes are disjoint under ``key >> 54``: apply/not/exist/replace
-tags are the exact constants 0-4, 6, and 8; rel_prod yields ``7 + 8 *
+tags are the exact constants 0-2, 4, 6, and 8; rel_prod yields ``7 + 8 *
 vid`` (congruent to 7 mod 8, which none of the constants are); and ite
 yields at least ``5 << 27`` (congruent to 0 mod 8, and far above any
-realistic varset id).  All nine can therefore share **one unified
+realistic varset id).  All eight can therefore share **one unified
 operation cache** (cleared wholesale on overflow, exactly like the
 reference backend's clear-on-overflow policy).  The rel_prod layout
 keeps the vid *above* a 3-bit tag rather than below a wide one so the
 whole key stays within two 30-bit bigint digits for small varset ids —
 key construction is pure small-int shifting on the hot path.
 
-**Depth-safe hot loops.**  ``apply`` (and/or/diff/xor), ``ite``,
+**Depth-safe hot loops.**  ``apply`` (and/or/diff), ``ite``,
 ``exist``, ``rel_prod`` and ``replace`` recursion descends one variable
 level per step, so its depth is bounded by the arena's variable count —
 never by diagram size.  The backend exploits that bound adaptively:
@@ -82,7 +82,6 @@ _TAG_REPLACE = 8 << 54
 _OP_AND = 0
 _OP_OR = 1
 _OP_DIFF = 2
-_OP_XOR = 3
 
 # Combine-frame markers (eval frames always start with a handle >= 0).
 # Markers <= -3 encode the level of a pending mk as ``-3 - level``.
@@ -158,13 +157,6 @@ class PackedBDD(ReferenceBDD):
     # ------------------------------------------------------------------
     # Node primitives
     # ------------------------------------------------------------------
-
-    def add_vars(self, count: int) -> int:
-        total = super().add_vars(count)
-        if total > _MASK:
-            raise BDDError(f"packed backend supports at most {_MASK} variables")
-        _drop_closures(self._hot)  # replace closures capture the variable bound
-        return total
 
     def mk(self, var: int, low: int, high: int) -> int:
         if low == high:
@@ -316,18 +308,6 @@ class PackedBDD(ReferenceBDD):
             return r
         return self._apply(_OP_DIFF, a, b)
 
-    def xor(self, a: int, b: int) -> int:
-        if a > b:
-            a, b = b, a
-        if a == FALSE:
-            return b
-        if a == b:
-            return FALSE
-        r = self._op_cache.get((3 << 54) | (a << _SHIFT) | b)
-        if r is not None:
-            return r
-        return self._apply(_OP_XOR, a, b)
-
     def _apply(self, op: int, a: int, b: int) -> int:
         if self.num_vars > _RECURSION_SAFE_VARS:
             return self._apply_loop(op, a, b)
@@ -362,7 +342,6 @@ class PackedBDD(ReferenceBDD):
         tag = op << 54
         is_and = op == _OP_AND
         is_or = op == _OP_OR
-        is_diff = op == _OP_DIFF
         kernel = weakref.proxy(self)
         ops = 0
         tick = 0
@@ -432,7 +411,7 @@ class PackedBDD(ReferenceBDD):
                     hi = cache_get(ckey)
                     if hi is None:
                         hi = rec(a1, b1, ckey)
-            elif is_diff:
+            else:  # diff
                 if a0 == 0 or b0 == 1 or a0 == b0:
                     lo = 0
                 elif b0 == 0:
@@ -446,29 +425,6 @@ class PackedBDD(ReferenceBDD):
                     hi = 0
                 elif b1 == 0:
                     hi = a1
-                else:
-                    ckey = tag | (a1 << 27) | b1
-                    hi = cache_get(ckey)
-                    if hi is None:
-                        hi = rec(a1, b1, ckey)
-            else:  # xor
-                if a0 > b0:
-                    a0, b0 = b0, a0
-                if a0 == 0:
-                    lo = b0
-                elif a0 == b0:
-                    lo = 0
-                else:
-                    ckey = tag | (a0 << 27) | b0
-                    lo = cache_get(ckey)
-                    if lo is None:
-                        lo = rec(a0, b0, ckey)
-                if a1 > b1:
-                    a1, b1 = b1, a1
-                if a1 == 0:
-                    hi = b1
-                elif a1 == b1:
-                    hi = 0
                 else:
                     ckey = tag | (a1 << 27) | b1
                     hi = cache_get(ckey)
@@ -526,7 +482,6 @@ class PackedBDD(ReferenceBDD):
         tag = op << 54
         is_and = op == _OP_AND
         is_or = op == _OP_OR
-        is_diff = op == _OP_DIFF
         tasks: List[int] = [b, a]
         push = tasks.append
         pop = tasks.pop
@@ -564,21 +519,12 @@ class PackedBDD(ReferenceBDD):
                         if a == b:
                             rpush(a)
                             continue
-                    elif is_diff:
+                    else:  # diff
                         if a == 0 or b == 1 or a == b:
                             rpush(0)
                             continue
                         if b == 0:
                             rpush(a)
-                            continue
-                    else:  # xor
-                        if a > b:
-                            a, b = b, a
-                        if a == 0:
-                            rpush(b)
-                            continue
-                        if a == b:
-                            rpush(0)
                             continue
                     key = tag | (a << _SHIFT) | b
                     r = cache_get(key)

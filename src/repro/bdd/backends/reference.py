@@ -29,7 +29,6 @@ __all__ = ["ReferenceBDD"]
 _OP_AND = 0
 _OP_OR = 1
 _OP_DIFF = 2
-_OP_XOR = 3
 
 # Terminal result tables for the binary operators, indexed [op][a][b] where
 # a/b are 0/1 terminals.  ``None`` marks non-terminal combinations.
@@ -37,13 +36,7 @@ _TERMINAL = {
     _OP_AND: {(0, 0): 0, (0, 1): 0, (1, 0): 0, (1, 1): 1},
     _OP_OR: {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 1},
     _OP_DIFF: {(0, 0): 0, (0, 1): 0, (1, 0): 1, (1, 1): 0},
-    _OP_XOR: {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0},
 }
-
-
-def _dot_quote(text: str) -> str:
-    """Escape a string for use inside a double-quoted DOT identifier."""
-    return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
 class ReferenceBDD(BddKernel):
@@ -52,8 +45,7 @@ class ReferenceBDD(BddKernel):
     Parameters
     ----------
     num_vars:
-        Number of boolean variables (levels).  May be grown later with
-        :meth:`add_vars`.
+        Number of boolean variables (levels).
     cache_limit:
         Soft cap on the total number of operation-cache entries.  The
         caches are checked every ``_watchdog_stride`` freshly allocated
@@ -118,13 +110,6 @@ class ReferenceBDD(BddKernel):
     # Node primitives
     # ------------------------------------------------------------------
 
-    def add_vars(self, count: int) -> int:
-        """Grow the variable universe by ``count`` levels; return new total."""
-        if count < 0:
-            raise BDDError("count must be non-negative")
-        self.num_vars += count
-        return self.num_vars
-
     def var_of(self, u: int) -> int:
         """Level of the root variable of ``u`` (sentinel for terminals)."""
         return self._var[u]
@@ -138,9 +123,6 @@ class ReferenceBDD(BddKernel):
     def node_count(self) -> int:
         """Number of allocated nodes, including the two terminals."""
         return len(self._var)
-
-    def is_terminal(self, u: int) -> bool:
-        return u < 2
 
     def mk(self, var: int, low: int, high: int) -> int:
         """Return the (reduced, hash-consed) node ``(var, low, high)``."""
@@ -254,7 +236,7 @@ class ReferenceBDD(BddKernel):
     def _apply(self, op: int, a: int, b: int) -> int:
         terminal = _TERMINAL[op]
         # Normalize commutative operators so (a, b) and (b, a) share a slot.
-        if op in (_OP_AND, _OP_OR, _OP_XOR) and a > b:
+        if op != _OP_DIFF and a > b:
             a, b = b, a
         if a < 2 and b < 2:
             return terminal[(a, b)]
@@ -282,13 +264,6 @@ class ReferenceBDD(BddKernel):
                 return FALSE
             if b == FALSE:
                 return a
-        elif op == _OP_XOR:
-            if a == FALSE:
-                return b
-            if b == FALSE:
-                return a
-            if a == b:
-                return FALSE
         key = (op, a, b)
         cached = self._apply_cache.get(key)
         if cached is not None:
@@ -319,9 +294,6 @@ class ReferenceBDD(BddKernel):
     def diff(self, a: int, b: int) -> int:
         """``a AND NOT b`` — the relational difference."""
         return self._apply(_OP_DIFF, a, b)
-
-    def xor(self, a: int, b: int) -> int:
-        return self._apply(_OP_XOR, a, b)
 
     def not_(self, a: int) -> int:
         if a == FALSE:
@@ -375,9 +347,6 @@ class ReferenceBDD(BddKernel):
             self._varset_ids[fs] = vid
         return vid
 
-    def varset_levels(self, varset_id: int) -> frozenset:
-        return self._varsets[varset_id]
-
     def exist(self, u: int, varset_id: int) -> int:
         """Existentially quantify the varset's levels out of ``u``."""
         levels = self._varsets[varset_id]
@@ -405,18 +374,6 @@ class ReferenceBDD(BddKernel):
             result = self.mk(v, low, high)
         self._exist_cache[key] = result
         return result
-
-    def forall(self, u: int, varset_id: int) -> int:
-        """Universal quantification: dual of :meth:`exist`."""
-        return self.not_(self.exist(self.not_(u), varset_id))
-
-    def implies(self, a: int, b: int) -> int:
-        """``a -> b`` as a BDD (used by query post-processing)."""
-        return self.or_(self.not_(a), b)
-
-    def iff(self, a: int, b: int) -> int:
-        """``a <-> b`` — the complement of XOR."""
-        return self.not_(self.xor(a, b))
 
     def rel_prod(self, a: int, b: int, varset_id: int) -> int:
         """``exist(varset, a AND b)`` computed in one fused recursion.
@@ -667,31 +624,6 @@ class ReferenceBDD(BddKernel):
                 stack.append((node, pos + 1, 1))
                 stack.append((node, pos + 1, 0))
 
-    def restrict(self, u: int, assignment: Dict[int, bool]) -> int:
-        """Cofactor ``u`` by fixing the given levels to constants."""
-        if not assignment:
-            return u
-        return self._restrict(u, assignment, {})
-
-    def _restrict(self, node: int, assignment: Dict[int, bool], cache: Dict[int, int]) -> int:
-        if node < 2:
-            return node
-        cached = cache.get(node)
-        if cached is not None:
-            return cached
-        v = self._var[node]
-        if v in assignment:
-            child = self._high[node] if assignment[v] else self._low[node]
-            result = self._restrict(child, assignment, cache)
-        else:
-            result = self.mk(
-                v,
-                self._restrict(self._low[node], assignment, cache),
-                self._restrict(self._high[node], assignment, cache),
-            )
-        cache[node] = result
-        return result
-
     # ------------------------------------------------------------------
     # Garbage collection
     # ------------------------------------------------------------------
@@ -752,7 +684,7 @@ class ReferenceBDD(BddKernel):
             self.cache_clears += 1
 
     def clear_caches(self) -> None:
-        """Drop operation caches (overflow, GC, rebuilds, benchmarks)."""
+        """Drop operation caches (overflow, GC, rebuilds)."""
         entries = self.cache_entries()
         if entries > self.peak_cache_entries:
             self.peak_cache_entries = entries
@@ -763,33 +695,6 @@ class ReferenceBDD(BddKernel):
         self._relprod_cache.clear()
         self._replace_cache.clear()
         self._satcount_cache.clear()
-
-    # ------------------------------------------------------------------
-    # Debugging helpers
-    # ------------------------------------------------------------------
-
-    def to_dot(self, u: int, name: str = "bdd") -> str:
-        """Graphviz rendering of the BDD rooted at ``u`` (for debugging).
-
-        The graph name and all labels are quoted/escaped, so the output is
-        parseable DOT for any ``name`` (spaces, quotes, keywords, ...).
-        """
-        lines = [f'digraph "{_dot_quote(name)}" {{']
-        lines.append('  0 [shape=box,label="0"]; 1 [shape=box,label="1"];')
-        seen = set()
-        stack = [u]
-        while stack:
-            n = stack.pop()
-            if n < 2 or n in seen:
-                continue
-            seen.add(n)
-            lines.append(f'  {n} [label="{_dot_quote(f"x{self._var[n]}")}"];')
-            lines.append(f"  {n} -> {self._low[n]} [style=dashed];")
-            lines.append(f"  {n} -> {self._high[n]};")
-            stack.append(self._low[n])
-            stack.append(self._high[n])
-        lines.append("}")
-        return "\n".join(lines)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -270,7 +270,7 @@ def load_bdd(manager: BddKernel, path: PathLike) -> List[int]:
     """Load a file written by :func:`save_bdd`; returns the root handles.
 
     The target manager must have at least as many variables as the saved
-    one (grow it with :meth:`BDD.add_vars` first if needed).  Corrupt
+    one.  Corrupt
     input — truncation, dangling references, bad magic — raises
     :class:`BDDError` naming the offending line.
     """

@@ -8,10 +8,11 @@
 * :mod:`repro.bench.report` — the paper's claims, checked on counts,
   nodes, tuples and percentages,
 * :mod:`repro.bench.differential`, :mod:`repro.bench.plan_bench`,
-  :mod:`repro.bench.kernel_bench`, :mod:`repro.bench.chaos_bench` — the
-  cross-backend fingerprint, executed-op, kernel and availability gates.
+  :mod:`repro.bench.chaos_bench` — the cross-backend fingerprint,
+  executed-op and availability gates.
 
-Speed is measured end to end by ``perfbench/run.py``, not here.
+Nothing here reads a wall clock to judge speed: timing is
+``perfbench/run.py``'s job alone.
 
 CLI::
 

@@ -28,7 +28,6 @@ from __future__ import annotations
 import hashlib
 import json
 import pathlib
-import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..analysis import (
@@ -53,7 +52,7 @@ __all__ = [
 
 #: Default comparison matrix: both backends crossed with the plan
 #: optimizer on and off.  All four must be bit-identical — the optimized
-#: configs additionally exercise the fused superops (``rel_prod_replace``
+#: configs additionally exercise the fused plan ops (``rel_prod_replace``
 #: / ``and_exist``).
 DEFAULT_CONFIGS = (
     "reference+opt",
@@ -122,7 +121,6 @@ def backend_fingerprint(
     facts = extract_facts(entry.build())
     cha = cha_call_graph(facts)
     out: Dict[str, Any] = {"backend": backend, "optimize": optimize}
-    t0 = time.monotonic()
 
     alg1 = ContextInsensitiveAnalysis(
         facts=facts, type_filtering=False, discover_call_graph=False,
@@ -175,8 +173,6 @@ def backend_fingerprint(
     out["db_id"] = db.db_id
     out["db_backend"] = db.meta["backend"]
     del db
-
-    out["seconds"] = round(time.monotonic() - t0, 3)
     return out
 
 
@@ -184,7 +180,7 @@ def _strip_volatile(fp: Dict[str, Any]) -> Dict[str, Any]:
     return {
         k: v
         for k, v in fp.items()
-        if k not in ("backend", "optimize", "db_backend", "seconds")
+        if k not in ("backend", "optimize", "db_backend")
     }
 
 
@@ -253,11 +249,7 @@ def run_differential(
             verdict = "identical" if record["identical"] else (
                 "DIVERGED: " + ", ".join(record["mismatches"])
             )
-            times = " ".join(
-                f"{cfg}={fp['seconds']}s"
-                for cfg, fp in record["backends"].items()
-            )
-            print(f"  [{name}: {verdict} ({times})]", flush=True)
+            print(f"  [{name}: {verdict}]", flush=True)
     return records, ok
 
 

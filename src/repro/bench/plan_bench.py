@@ -5,9 +5,9 @@ Two artifacts, both under ``results/``:
 * ``BENCH_plan.json`` — per-corpus-entry comparison of the optimized
   pipeline against unoptimized plans plus a leave-one-out ablation of
   every pass (``opt-no-<pass>``), recording executed op counts by kind
-  (``replace`` is the headline — the op the optimizer exists to shrink),
-  static op counts, and best-of-N wall-clock for the whole solve
-  (solver construction *including* optimization time, plus the fixpoint).
+  (``replace`` is the headline — the op the optimizer exists to shrink)
+  and static op counts.  Nothing here is timed: speed is measured end
+  to end by ``perfbench/run.py`` alone.
 * ``PLAN_COUNTS.json`` — the committed baseline of op counts under the
   default (optimized) configuration.  ``--check`` recomputes the counts
   and fails if any entry executes *more* ``replace`` or ``rel_prod`` ops
@@ -19,7 +19,7 @@ Usage::
     python -m repro.bench.plan_bench --out results
     python -m repro.bench.plan_bench --check results/PLAN_COUNTS.json
 
-The timed workload is Algorithm 3 (context-insensitive points-to with
+The per-entry workload is Algorithm 3 (context-insensitive points-to with
 call-graph discovery): it exercises recursive rules, hoisting, and the
 delta-plan machinery without the multi-minute context-sensitive solves.
 Every other plan the system runs is fenced by counts only, under the
@@ -35,10 +35,8 @@ program pins ``optimize=True``, so the check holds whatever
 
 from __future__ import annotations
 
-import gc
 import json
 import pathlib
-import time
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..analysis import (
@@ -60,8 +58,6 @@ __all__ = [
     "expand_fused",
     "main",
 ]
-
-DEFAULT_REPEATS = 3
 
 #: Fused superops count as their expanded primitive equivalents wherever
 #: op counts are compared: a ``rel_prod_replace`` is one ``rel_prod``
@@ -91,68 +87,31 @@ def solve_entry(
     optimize: Optional[bool] = None,
     disabled_passes: Optional[Sequence[str]] = None,
     backend: Optional[str] = None,
-    repeats: int = 1,
     facts=None,
 ) -> Dict[str, Any]:
-    """Solve Algorithm 3 on one corpus entry under one optimizer config.
-
-    Wall-clock is the best of ``repeats`` runs (minimum suppresses
-    scheduler noise on entries that solve in well under a second); op
-    counts are taken from the last run — they are deterministic.
-    """
+    """Solve Algorithm 3 on one corpus entry under one optimizer config
+    and record its op counts."""
     if facts is None:
         facts = extract_facts(corpus_entry(name).build())
-    best = float("inf")
-    result = None
-    for _ in range(max(1, repeats)):
-        seconds, result = _timed_run(
-            facts, optimize, disabled_passes, backend
-        )
-        best = min(best, seconds)
-    return _config_record(result, best)
-
-
-def _timed_run(facts, optimize, disabled_passes, backend):
-    """One whole solve (construction + fixpoint) with the cyclic GC
-    parked, so collection pauses don't land on one config's timing."""
-    gc.collect()
-    gc.disable()
-    try:
-        t0 = time.monotonic()
-        result = ContextInsensitiveAnalysis(
-            facts=facts,
-            optimize=optimize,
-            disabled_passes=disabled_passes,
-            backend=backend,
-        ).run()
-        return time.monotonic() - t0, result
-    finally:
-        gc.enable()
-
-
-def _config_record(result, best: float) -> Dict[str, Any]:
-    solver = result.solver
+    solver = ContextInsensitiveAnalysis(
+        facts=facts,
+        optimize=optimize,
+        disabled_passes=disabled_passes,
+        backend=backend,
+    ).run().solver
     executed = dict(sorted(solver.stats.plan_ops.items()))
     return {
         "executed": executed,
         "executed_total": sum(executed.values()),
         "static": dict(sorted(solver.plan_op_counts().items())),
-        "seconds": round(best, 4),
         "tuples_vP": solver.relation("vP").count(),
         "iterations": solver.stats.iterations,
     }
 
 
-def bench_entry(
-    name: str, repeats: int = DEFAULT_REPEATS, backend: Optional[str] = None
-) -> Dict[str, Any]:
+def bench_entry(name: str, backend: Optional[str] = None) -> Dict[str, Any]:
     """Full config sweep for one entry: noopt, opt, and opt with each
-    pass individually disabled (the per-pass contribution).
-
-    The repeats are *interleaved* — every config runs once per round —
-    so slow drift in machine load is spread evenly across configs
-    instead of penalizing whichever ran last.
-    """
+    pass individually disabled (the per-pass contribution)."""
     facts = extract_facts(corpus_entry(name).build())
     sweep: List[tuple] = [
         ("noopt", False, None),
@@ -162,16 +121,11 @@ def bench_entry(
         (f"opt-no-{pass_name}", True, [pass_name])
         for pass_name in PASS_NAMES
     )
-    best: Dict[str, float] = {label: float("inf") for label, _, _ in sweep}
-    last: Dict[str, Any] = {}
-    for _ in range(max(1, repeats)):
-        for label, optimize, disabled in sweep:
-            seconds, result = _timed_run(facts, optimize, disabled, backend)
-            best[label] = min(best[label], seconds)
-            last[label] = result
     configs: Dict[str, Any] = {
-        label: _config_record(last[label], best[label])
-        for label, _, _ in sweep
+        label: solve_entry(
+            name, optimize, disabled, backend=backend, facts=facts
+        )
+        for label, optimize, disabled in sweep
     }
     # Replace counts are compared in *expanded* form (fused superops
     # count as their primitives), so the fuse pass — which hides
@@ -199,15 +153,12 @@ def bench_entry(
         "replace_opt": opt_replace,
         "replace_noopt": noopt_replace,
         "replace_reduction_pct": reduction,
-        "wall_opt": configs["opt"]["seconds"],
-        "wall_noopt": configs["noopt"]["seconds"],
         "pass_contribution_replace": contributions,
     }
 
 
 def run_plan_bench(
     names: Optional[Sequence[str]] = None,
-    repeats: int = DEFAULT_REPEATS,
     backend: Optional[str] = None,
     verbose: bool = True,
 ) -> Dict[str, Any]:
@@ -216,27 +167,22 @@ def run_plan_bench(
         names = corpus_names(small=True)
     entries = []
     for name in names:
-        record = bench_entry(name, repeats=repeats, backend=backend)
+        record = bench_entry(name, backend=backend)
         entries.append(record)
         if verbose:
             print(
                 f"  [{name}: replace {record['replace_noopt']} -> "
                 f"{record['replace_opt']} "
-                f"(-{record['replace_reduction_pct']}%), wall "
-                f"{record['wall_noopt']}s -> {record['wall_opt']}s]",
+                f"(-{record['replace_reduction_pct']}%)]",
                 flush=True,
             )
     return {
         "workload": "algorithm3",
-        "repeats": repeats,
         "passes": list(PASS_NAMES),
         "entries": entries,
         "summary": {
             "entries_over_30pct": sum(
                 1 for e in entries if e["replace_reduction_pct"] >= 30.0
-            ),
-            "wall_no_worse_everywhere": all(
-                e["wall_opt"] <= e["wall_noopt"] for e in entries
             ),
         },
     }
@@ -461,10 +407,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="corpus entries (default: the small subset)",
     )
     parser.add_argument(
-        "--repeats", type=int, default=DEFAULT_REPEATS, metavar="N",
-        help="wall-clock repeats per config, best kept (default %(default)s)",
-    )
-    parser.add_argument(
         "--backend", metavar="NAME", help="BDD kernel backend"
     )
     parser.add_argument("--out", default="results", help="output directory")
@@ -488,8 +430,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.entries:
         names = [n.strip() for n in args.entries.split(",") if n.strip()]
     print("Plan-optimizer benchmark (Algorithm 3):", flush=True)
-    bench = run_plan_bench(names=names, repeats=args.repeats,
-                           backend=args.backend)
+    bench = run_plan_bench(names=names, backend=args.backend)
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     bench_path = out / "BENCH_plan.json"
@@ -504,9 +445,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     summary = bench["summary"]
     print(
         f"entries with >=30% replace reduction: "
-        f"{summary['entries_over_30pct']}/{len(bench['entries'])}; "
-        f"wall-clock no worse everywhere: "
-        f"{summary['wall_no_worse_everywhere']}"
+        f"{summary['entries_over_30pct']}/{len(bench['entries'])}"
     )
     return 0
 

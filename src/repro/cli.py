@@ -705,9 +705,7 @@ def _cmd_compile_db(args) -> int:
     print(f"  relations: {counts}")
     print(f"  call paths: {db.meta['paths']}, solve time {solve_seconds:.2f}s")
     if not args.no_fixpoint:
-        fix = write_fixpoint_bundle(
-            bundle_path_for(out), db, state, modref=not args.no_modref
-        )
+        fix = write_fixpoint_bundle(bundle_path_for(out), db, state)
         print(f"  fixpoint bundle: {fix} (warm starts for 'repro recompile')")
     return EXIT_OK
 
@@ -732,12 +730,7 @@ def _cmd_recompile(args) -> int:
     db = result.db
     nodes = db.save(args.out)
     if result.state is not None and not args.no_fixpoint_out:
-        write_fixpoint_bundle(
-            bundle_path_for(args.out),
-            db,
-            result.state,
-            modref=bool(db.meta.get("config", {}).get("modref", True)),
-        )
+        write_fixpoint_bundle(bundle_path_for(args.out), db, result.state)
     elif result.state is None and not args.no_fixpoint_out:
         # No-op recompile: the parent's fixpoint is still this fixpoint.
         src = pathlib.Path(

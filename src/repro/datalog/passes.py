@@ -28,7 +28,7 @@ module rewrites the lowered :class:`~repro.datalog.plan.RulePlan` ops:
     Merge adjacent op pairs into fused superops (``Replace`` consuming a
     single-use ``RelProd`` becomes :class:`RelProdReplace`; ``Exist``
     consuming a single-use ``And`` becomes :class:`AndExist`) so one
-    kernel call does what two did, and group the operand loads the
+    executor dispatch does what two did, and group the operand loads the
     independent recursive plans of a stratum re-issue every fixpoint
     iteration into shared per-stratum slots (:class:`SharedLoad`).
 

@@ -277,10 +277,10 @@ class RelProd(Op):
 
 @dataclass
 class RelProdReplace(Op):
-    """Fused superop: ``Replace(RelProd(lhs, rhs, refs), mapping)`` as a
-    single kernel call.  Produced by the ``fuse`` pass when a rename is
-    the sole consumer of a join; an order-safe backend applies the rename
-    while building the join result instead of walking it a second time."""
+    """Fused superop: ``Replace(RelProd(lhs, rhs, refs), mapping)`` as one
+    plan op.  Produced by the ``fuse`` pass when a rename is the sole
+    consumer of a join; the executor dispatches it once and passes the
+    join result straight to ``replace`` without a register store."""
 
     lhs: int
     rhs: int

@@ -730,12 +730,10 @@ class Solver:
                 regs[op.lhs], regs[op.rhs], m.varset(self._levels(op.refs))
             )
         if kind == "rel_prod_replace":
-            return m.rel_prod_replace(
-                regs[op.lhs],
-                regs[op.rhs],
-                m.varset(self._levels(op.refs)),
-                self._rename_id(dict(op.mapping)),
+            joined = m.rel_prod(
+                regs[op.lhs], regs[op.rhs], m.varset(self._levels(op.refs))
             )
+            return m.replace(joined, self._rename_id(dict(op.mapping)))
         if kind == "and_exist":
             # exist(and(a, b), vs) is exactly rel_prod — one kernel call.
             return m.rel_prod(

@@ -21,8 +21,9 @@ own meta, digest, and payload), so the existing checkpoint loader does
 all integrity and schema checking; the bundle adds only the envelope
 and the cross-phase facts: which database this fixpoint belongs to
 (``db_id`` — a bundle for the wrong database is rejected up front), the
-context-domain sizes the solvers were built with, the variable order,
-and the path count.
+context-domain sizes the solvers were built with, the path count and the
+thread sites.  The compile configuration (variable order, mod-ref) is
+the database's own meta, which a warm recompile reads.
 
 Losing or lacking a bundle is never fatal: the recompiler falls back to
 a cold (from-scratch) compile of the edited facts and writes a fresh
@@ -88,23 +89,21 @@ def bundle_path_for(db_path: PathLike) -> pathlib.Path:
     return target.with_name(target.name + ".fix")
 
 
-def write_fixpoint_bundle(path: PathLike, db, state, modref: bool = True) -> str:
+def write_fixpoint_bundle(path: PathLike, db, state) -> str:
     """Checkpoint all three solvers of ``state`` beside database ``db``.
 
     ``state`` is a :class:`~repro.serve.database.CompileState`.  Returns
-    the written path.
+    the written path.  The compile configuration is not repeated here: a
+    warm recompile reads it from the database's own meta.
     """
     meta: Dict[str, Any] = {
         "format_version": FORMAT_VERSION,
         "tool": tool_meta(),
         "db_id": db.db_id,
-        "facts_sha256": db.meta.get("program", {}).get("facts_sha256"),
         "cs_c_size": state.cs_c_size,
         "escape_c_size": state.escape_c_size,
-        "order_spec": db.meta.get("config", {}).get("order_spec"),
         "max_paths": state.max_paths,
         "thread_sites": [list(t) for t in state.thread_sites],
-        "modref": modref,
         "sections": list(SECTIONS),
     }
     lines = [

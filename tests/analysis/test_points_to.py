@@ -275,15 +275,16 @@ class TestInfrastructure:
         assert fast.relation_tuples("vP") == slow.relation_tuples("vP")
 
     def test_cs_with_cha_graph(self, conflation_program):
+        facts = extract_facts(conflation_program)
         cs = ContextSensitiveAnalysis(
-            program=conflation_program, use_cha_graph=True
+            facts=facts, call_graph=cha_call_graph(facts)
         ).run()
         assert cs.points_to("Main.main", "x1") == {"Main.main@2:new Object"}
 
     def test_context_cap_still_sound(self, conflation_program):
         capped = ContextSensitiveAnalysis(
-            program=conflation_program, context_cap=1
-        ).run()
+            program=conflation_program, truncate_cap=1
+        ).run_rung("truncated")
         # With all contexts merged the result degrades toward CI but must
         # remain sound (x1 sees at least its own object).
         assert "Main.main@2:new Object" in capped.points_to("Main.main", "x1")

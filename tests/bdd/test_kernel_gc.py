@@ -35,18 +35,22 @@ def _op_caches(m):
     return caches
 
 
+def _xor(m, a, b):
+    """Exclusive or, built from the kernel's relational difference."""
+    return m.or_(m.diff(a, b), m.diff(b, a))
+
+
 def _build_roots(m):
     """A few nontrivial relations plus enough ops to fill the caches."""
     a = m.cube([(0, True), (2, False), (4, True)])
     b = m.cube([(1, True), (3, True)])
     c = m.or_(a, m.and_(b, m.var_bdd(5)))
-    d = m.xor(c, m.not_(a))
+    d = _xor(m, c, m.not_(a))
     e = m.exist(d, m.varset([0, 1]))
     f = m.rel_prod(c, d, m.varset([2, 3]))
     g = m.replace(e, m.replace_map({4: 6, 5: 7}))
     h = m.ite(a, f, g)
     m.diff(h, c)
-    m.restrict(d, {0: True, 3: False})
     m.sat_count(d, LEVELS)
     m.sat_count(h, LEVELS)
     return [a, b, c, d, e, f, g, h]

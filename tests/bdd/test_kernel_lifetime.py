@@ -90,7 +90,6 @@ def test_cold_paths_leave_no_cycle(backend):
     m.replace(u, m.replace_map({4: 5}))
     m.sat_count(u, range(6))
     list(m.iter_assignments(u, range(6)))
-    m.restrict(u, {0: True})
     ref = weakref.ref(m)
     del m
     _assert_dead({"kernel": ref})

@@ -56,25 +56,3 @@ class TestRuleProfile:
         by_rule = {p.rule: p for p in solver.rule_profile()}
         base = by_rule["path(x, y) :- edge(x, y)."]
         assert base.tuples_produced >= 1
-
-
-class TestForallAndFriends:
-    def test_forall_dual_of_exist(self):
-        from repro.bdd import BDD
-
-        mgr = BDD(num_vars=4)
-        f = mgr.or_(mgr.var_bdd(0), mgr.var_bdd(1))
-        vs = mgr.varset([0])
-        # forall x0. (x0 | x1) == x1
-        assert mgr.forall(f, vs) == mgr.var_bdd(1)
-        # exist x0. (x0 | x1) == TRUE
-        assert mgr.exist(f, vs) == 1
-
-    def test_implies_iff(self):
-        from repro.bdd import BDD
-
-        mgr = BDD(num_vars=4)
-        a, b = mgr.var_bdd(0), mgr.var_bdd(1)
-        assert mgr.implies(a, a) == 1
-        assert mgr.iff(a, a) == 1
-        assert mgr.iff(a, b) == mgr.not_(mgr.xor(a, b))

@@ -4,6 +4,8 @@ edited facts — across additions, removals, call-graph edits, and both
 kernel backends — plus the no-op, cold-fallback, and provenance paths.
 """
 
+import json
+
 import pytest
 
 from repro.incremental import (
@@ -197,6 +199,32 @@ class TestFixpointBundle:
 
     def test_bundle_path_for(self):
         assert str(bundle_path_for("/x/app.ptdb")).endswith("app.ptdb.fix")
+
+    def test_bundle_with_retired_meta_keys_still_warms(
+        self, baseline_db, bundle_path, factset, tmp_path
+    ):
+        """Bundles once repeated the mod-ref flag, the variable order and
+        the facts digest, which a recompile reads from the database; such
+        a bundle still loads and warm-starts."""
+        retired = {"modref", "order_spec", "facts_sha256"}
+        lines = bundle_path.read_text().splitlines()
+        meta = json.loads(lines[1][len("meta "):])
+        assert not retired & set(meta)
+        meta.update(
+            modref=True,
+            order_spec=baseline_db.meta["config"]["order_spec"],
+            facts_sha256=baseline_db.meta["program"]["facts_sha256"],
+        )
+        lines[1] = "meta " + json.dumps(meta, sort_keys=True, separators=(",", ":"))
+        old = tmp_path / "old.fix"
+        old.write_text("\n".join(lines) + "\n")
+        assert retired <= set(load_fixpoint_bundle(old).meta)
+        doc = {"add": {"vP0": [list(_new_vp0_pair(factset))]}}
+        res = recompile_database(
+            baseline_db, FactDiff.parse(doc), fixpoint_path=old
+        )
+        assert res.modes == {"ci": "delta", "cs": "delta", "escape": "delta"}
+        assert res.db_id == _fresh_id(factset, doc)
 
 
 class TestProvenance:

@@ -1,8 +1,8 @@
 """Randomized differential test: every backend vs a truth-table oracle.
 
 Each seeded run drives all registered backends through the *same*
-random operation sequence (and / or / diff / xor / not / ite / exist /
-restrict, with occasional garbage collections) over a 12-variable
+random operation sequence (and / or / diff / not / ite / exist /
+rel_prod / replace, with occasional garbage collections) over a 12-variable
 universe, and checks every produced node against a brute-force oracle.
 The oracle represents a boolean function as a ``2**NV``-bit integer
 (bit ``m`` = value on minterm ``m``), so oracle operations are single
@@ -57,13 +57,6 @@ def _exist(mask, levels):
     return mask
 
 
-def _restrict(mask, assignment):
-    for v, val in assignment.items():
-        half = (mask >> (1 << v)) & A0[v] if val else mask & A0[v]
-        mask = half | (half << (1 << v))
-    return mask
-
-
 def _swap(mask, a, b):
     """Exchange variables ``a`` and ``b`` (minterm-index bit permutation).
 
@@ -107,8 +100,8 @@ def _run(backend, seed, num_vars=NV):
     masks = [0, FULL] + [A1[v] for v in range(NV)]
     for step in range(STEPS):
         op = rng.choice(
-            ("and", "or", "diff", "xor", "not", "ite", "exist", "restrict",
-             "rel_prod", "rel_prod_replace", "gc")
+            ("and", "or", "diff", "not", "ite", "exist", "rel_prod",
+             "replace", "gc")
         )
         i, j, k = (rng.randrange(len(nodes)) for _ in range(3))
         if op == "and":
@@ -117,8 +110,6 @@ def _run(backend, seed, num_vars=NV):
             u, want = m.or_(nodes[i], nodes[j]), masks[i] | masks[j]
         elif op == "diff":
             u, want = m.diff(nodes[i], nodes[j]), masks[i] & (FULL ^ masks[j])
-        elif op == "xor":
-            u, want = m.xor(nodes[i], nodes[j]), masks[i] ^ masks[j]
         elif op == "not":
             u, want = m.not_(nodes[i]), FULL ^ masks[i]
         elif op == "ite":
@@ -127,27 +118,23 @@ def _run(backend, seed, num_vars=NV):
         elif op == "exist":
             levels = rng.sample(range(NV), rng.randrange(0, 5))
             u, want = m.exist(nodes[i], m.varset(levels)), _exist(masks[i], levels)
-        elif op == "restrict":
-            assignment = {
-                v: rng.random() < 0.5
-                for v in rng.sample(range(NV), rng.randrange(1, 4))
-            }
-            u, want = m.restrict(nodes[i], assignment), _restrict(masks[i], assignment)
         elif op == "rel_prod":
             levels = rng.sample(range(NV), rng.randrange(0, 5))
             u = m.rel_prod(nodes[i], nodes[j], m.varset(levels))
             want = _exist(masks[i] & masks[j], levels)
-        elif op == "rel_prod_replace":
-            # The fused superop, under its precondition: rename targets
-            # are drawn from the quantified levels, so they are outside
-            # the support of the rel_prod result (the solver's shape —
-            # renames land on the just-vacated domain instance).
+        elif op == "replace":
+            # A rename of a join, as the solver runs a fused
+            # RelProdReplace op, under replace's precondition: rename
+            # targets are drawn from the quantified levels, so they are
+            # outside the support of the rel_prod result (renames land
+            # on the just-vacated domain instance).
             n_pairs = rng.randrange(1, 4)
             chosen = rng.sample(range(NV), 2 * n_pairs)
             quant, sources = chosen[:n_pairs], chosen[n_pairs:]
             mapping = dict(zip(sources, quant))
-            u = m.rel_prod_replace(
-                nodes[i], nodes[j], m.varset(quant), m.replace_map(mapping)
+            u = m.replace(
+                m.rel_prod(nodes[i], nodes[j], m.varset(quant)),
+                m.replace_map(mapping),
             )
             want = _exist(masks[i] & masks[j], quant)
             for s, t in mapping.items():

@@ -6,8 +6,9 @@ Three invariants, over randomized rule shapes and fact sets:
    every schema obligation holds (``validate_plan`` passes) for every
    (rule, delta-variant) plan, optimized or not;
 2. the compiler's liveness helper never frees a head variable;
-3. the optimizer is *semantics-free*: optimized and unoptimized solves
-   produce bit-identical relation BDDs on both kernel backends.
+3. the optimizer is *semantics-free*: optimized and unoptimized solves,
+   and optimized solves with any one pass disabled, produce
+   bit-identical relation BDDs on both kernel backends.
 """
 
 import hashlib
@@ -20,6 +21,7 @@ from repro.datalog.compiler import (
     _last_use_positions,
     _order_positive_atoms,
 )
+from repro.datalog.passes import PASS_NAMES
 
 HEADER = """
 .domains
@@ -106,11 +108,14 @@ def test_last_use_never_frees_head_variable(rules_text):
                 )
 
 
-def _solve_digests(prog_text, rules_text, edges, triples, backend, optimize):
+def _solve_digests(
+    prog_text, rules_text, edges, triples, backend, optimize, disabled=None
+):
     solver = Solver(
         parse_program(prog_text + rules_text),
         backend=backend,
         optimize=optimize,
+        disabled_passes=[disabled] if disabled else None,
     )
     solver.add_tuples("e", edges)
     solver.add_tuples("t", triples)
@@ -124,11 +129,17 @@ def _solve_digests(prog_text, rules_text, edges, triples, backend, optimize):
     return out
 
 
-@given(rules_strategy(), edges_strategy, triples_strategy)
+@given(
+    rules_strategy(),
+    edges_strategy,
+    triples_strategy,
+    st.sampled_from((None,) + PASS_NAMES),
+)
 @settings(max_examples=25, deadline=None)
-def test_optimizer_is_semantics_free(rules_text, edges, triples):
-    """Optimized and unoptimized plans produce bit-identical relation
-    BDDs under both kernel backends (same levels, same structure)."""
+def test_optimizer_is_semantics_free(rules_text, edges, triples, disabled):
+    """Optimized and unoptimized plans, and optimized plans with one pass
+    (or none) disabled, produce bit-identical relation BDDs under both
+    kernel backends (same levels, same structure)."""
     _parse(rules_text)  # assume() away unparseable draws
     for backend in ("reference", "packed"):
         opt = _solve_digests(
@@ -137,4 +148,7 @@ def test_optimizer_is_semantics_free(rules_text, edges, triples):
         noopt = _solve_digests(
             HEADER, rules_text, edges, triples, backend, False
         )
-        assert opt == noopt
+        ablated = _solve_digests(
+            HEADER, rules_text, edges, triples, backend, True, disabled
+        )
+        assert opt == noopt == ablated

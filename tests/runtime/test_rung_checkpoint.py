@@ -1,4 +1,5 @@
-"""A rung resumes only from a checkpoint of its own program.
+"""A rung resumes only from a checkpoint of its own program, and races
+its deadline from the call-graph discovery on.
 
 Two programs share one checkpoint directory, as ``analyze --isolate
 --checkpoint-dir D`` over several files does.  They differ in one call
@@ -8,7 +9,9 @@ the facts tell their checkpoints apart.
 
 import pytest
 
-from repro.analysis import ContextSensitiveAnalysis
+from repro.analysis import ContextSensitiveAnalysis, ThreadEscapeAnalysis
+from repro.analysis import escape as escape_module
+from repro.callgraph import cha_call_graph
 from repro.ir.facts import extract_facts
 from repro.ir.frontend import parse_program
 from repro.runtime import (
@@ -158,9 +161,10 @@ def test_rung_saves_after_its_deadline_only_for_a_supervisor(
 ):
     """In-process runs answer within their deadline, so a timed-out rung
     saves no checkpoint there; a supervised rung still saves one."""
+    facts = _facts("a")
     analysis = ContextSensitiveAnalysis(
-        facts=_facts("a"),
-        use_cha_graph=True,
+        facts=facts,
+        call_graph=cha_call_graph(facts),
         budget=ResourceBudget(timeout=1.5),
         degrade=call == "ladder",
         checkpoint_dir=str(tmp_path),
@@ -174,3 +178,35 @@ def test_rung_saves_after_its_deadline_only_for_a_supervisor(
     assert (tmp_path / "context_sensitive.ckpt").exists() is (
         call == "run_rung"
     )
+
+
+def _unreachable(*args, **kwargs):
+    raise AssertionError("the solve after discovery was reached")
+
+
+@pytest.mark.parametrize("call", ["run", "run_rung"])
+def test_call_graph_discovery_runs_under_the_deadline(monkeypatch, call):
+    """Algorithm 3's discovery races the analysis's deadline, so a timeout
+    fires before the cloned solver is built."""
+    analysis = ContextSensitiveAnalysis(
+        facts=_facts("a"), budget=ResourceBudget(timeout=1.5), degrade=False
+    )
+    monkeypatch.setattr(ContextSensitiveAnalysis, "_build_solver", _unreachable)
+    monkeypatch.setattr(budget_module, "time", _SteppingClock())
+    with pytest.raises(SolverTimeout):
+        if call == "run_rung":
+            analysis.run_rung("full")
+        else:
+            analysis.run()
+
+
+def test_escape_discovery_runs_under_the_deadline(monkeypatch):
+    """The same for Algorithm 7: the timeout fires in discovery, before
+    the escape solver is built."""
+    analysis = ThreadEscapeAnalysis(
+        facts=_facts("a"), budget=ResourceBudget(timeout=1.5)
+    )
+    monkeypatch.setattr(escape_module, "make_solver", _unreachable)
+    monkeypatch.setattr(budget_module, "time", _SteppingClock())
+    with pytest.raises(SolverTimeout):
+        analysis.run()
