@@ -58,7 +58,6 @@ from ..serve import (
     compile_database,
 )
 from ..serve.engine import QueryError
-from ..serve.metrics import percentile
 from ..serve.protocol import encode
 from ..serve.supervise import ServeSupervisor
 from .corpus import corpus_entry
@@ -167,16 +166,14 @@ class _Tally:
         self.failures = 0
         self.rejections: Dict[str, int] = {}
         self.failure_codes: Dict[str, int] = {}
-        self.latencies: List[float] = []
         self.reconnects = 0
         self.retries = 0
         self.overload_waits = 0
 
-    def success(self, seconds: float) -> None:
+    def success(self) -> None:
         with self._lock:
             self.attempts += 1
             self.successes += 1
-            self.latencies.append(seconds)
 
     def rejected(self, code: str) -> None:
         with self._lock:
@@ -203,7 +200,6 @@ class _Tally:
                 100.0 * self.successes / denominator
                 if denominator > 0 else 100.0
             )
-            samples = sorted(self.latencies)
             return {
                 "attempts": self.attempts,
                 "successes": self.successes,
@@ -211,10 +207,6 @@ class _Tally:
                 "failure_codes": dict(self.failure_codes),
                 "expected_rejections": dict(self.rejections),
                 "availability_pct": round(availability, 3),
-                "latency": {
-                    "p50_s": round(percentile(samples, 50), 6),
-                    "p99_s": round(percentile(samples, 99), 6),
-                } if samples else None,
                 "client": {
                     "reconnects": self.reconnects,
                     "retries": self.retries,
@@ -257,7 +249,6 @@ def _worker(
                 deadline_probe_every > 0
                 and i % deadline_probe_every == 0
             )
-            t0 = time.perf_counter()
             try:
                 client.query(
                     q["kind"],
@@ -265,7 +256,7 @@ def _worker(
                     deadline_ms=0 if probe else None,
                     no_cache=no_cache,
                 )
-                tally.success(time.perf_counter() - t0)
+                tally.success()
             except (ServerError, QueryError) as err:
                 code = getattr(err, "code", "") or type(err).__name__
                 if code in _EXPECTED_REJECTIONS and (
@@ -443,10 +434,9 @@ def _scenario_crash_restart(db_path, db_id, queries, workdir,
         try:
             for i in range(workload):
                 q = queries[i % len(queries)]
-                t0 = time.perf_counter()
                 try:
                     client.query(q["kind"], q["args"], no_cache=True)
-                    tally.success(time.perf_counter() - t0)
+                    tally.success()
                 except (ServerError, QueryError, ConnectionError) as err:
                     tally.failure(
                         getattr(err, "code", "") or type(err).__name__

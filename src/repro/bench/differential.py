@@ -52,8 +52,8 @@ __all__ = [
 
 #: Default comparison matrix: both backends crossed with the plan
 #: optimizer on and off.  All four must be bit-identical — the optimized
-#: configs additionally exercise the fused plan ops (``rel_prod_replace``
-#: / ``and_exist``).
+#: configs additionally exercise the rewritten plans (re-colored rules
+#: and hoisted preamble slots).
 DEFAULT_CONFIGS = (
     "reference+opt",
     "reference+noopt",

@@ -55,32 +55,8 @@ __all__ = [
     "run_plan_bench",
     "check_plan_counts",
     "program_counts",
-    "expand_fused",
     "main",
 ]
-
-#: Fused superops count as their expanded primitive equivalents wherever
-#: op counts are compared: a ``rel_prod_replace`` is one ``rel_prod``
-#: plus one ``replace``, an ``and_exist`` is one ``and`` plus one
-#: ``exist``.  This keeps the regression gate fusion-neutral — fusing
-#: (or unfusing) a plan can neither mask nor fake a change in how many
-#: replace/rel_prod evaluations the fixpoint performs.
-_FUSED_EXPANSION = {
-    "rel_prod_replace": ("rel_prod", "replace"),
-    "and_exist": ("and", "exist"),
-}
-
-
-def expand_fused(executed: Dict[str, int]) -> Dict[str, int]:
-    """Executed-op counts with fused superops expanded to primitives."""
-    out = dict(executed)
-    for fused, parts in _FUSED_EXPANSION.items():
-        n = out.pop(fused, 0)
-        if n:
-            for part in parts:
-                out[part] = out.get(part, 0) + n
-    return out
-
 
 def solve_entry(
     name: str,
@@ -127,23 +103,15 @@ def bench_entry(name: str, backend: Optional[str] = None) -> Dict[str, Any]:
         )
         for label, optimize, disabled in sweep
     }
-    # Replace counts are compared in *expanded* form (fused superops
-    # count as their primitives), so the fuse pass — which hides
-    # replaces inside rel_prod_replace ops — does not inflate the
-    # reduction the rename-elimination passes earn.
-    opt_replace = expand_fused(configs["opt"]["executed"]).get("replace", 0)
-    noopt_replace = expand_fused(configs["noopt"]["executed"]).get(
-        "replace", 0
-    )
+    opt_replace = configs["opt"]["executed"].get("replace", 0)
+    noopt_replace = configs["noopt"]["executed"].get("replace", 0)
     reduction = 0.0
     if noopt_replace:
         reduction = round(100.0 * (1.0 - opt_replace / noopt_replace), 1)
     # Per-pass contribution: how many extra replace executions appear
     # when the pass is removed from the pipeline.
     contributions = {
-        pass_name: expand_fused(
-            configs[f"opt-no-{pass_name}"]["executed"]
-        ).get("replace", 0)
+        pass_name: configs[f"opt-no-{pass_name}"]["executed"].get("replace", 0)
         - opt_replace
         for pass_name in PASS_NAMES
     }
@@ -328,13 +296,9 @@ def _compare_counts(
     executed ``replace``/``rel_prod`` ops, or any change in the static
     per-kind op counts."""
     problems: List[str] = []
-    # Compare executed ops in expanded form so the gate is indifferent
-    # to whether either side fused its ops.
-    got_ops = expand_fused(executed)
-    want_ops = expand_fused(want_executed)
     for kind in ("replace", "rel_prod"):
-        got = got_ops.get(kind, 0)
-        want = want_ops.get(kind, 0)
+        got = executed.get(kind, 0)
+        want = want_executed.get(kind, 0)
         if got > want:
             problems.append(
                 f"{where}: executed {kind} count regressed {want} -> {got}"
@@ -367,8 +331,8 @@ def check_plan_counts(
             expected["opt"], expected["static_opt"],
         )
         if verbose:
-            got = expand_fused(current["executed"]).get("replace", 0)
-            want = expand_fused(expected["opt"]).get("replace", 0)
+            got = current["executed"].get("replace", 0)
+            want = expected["opt"].get("replace", 0)
             print(
                 f"  [{name}: executed replace {got} (baseline {want})]",
                 flush=True,
@@ -392,7 +356,7 @@ def check_plan_counts(
         if verbose:
             print(
                 f"  [{label} on {name}: executed replace "
-                f"{expand_fused(executed).get('replace', 0)}]",
+                f"{executed.get('replace', 0)}]",
                 flush=True,
             )
     return problems

@@ -6,7 +6,8 @@ is lowered — once per semi-naive variant — into a straight-line
 
 * ``Load`` a body atom's BDD (full relation or its delta),
 * ``And`` constant filters and repeated-variable equalities onto it,
-  ``Exist`` away don't-cares and dead-on-arrival variables,
+  ``Exist`` away don't-cares and dead-on-arrival variables (the last
+  filter and the projection are one ``RelProd``),
 * ``Replace`` attributes so shared variables meet in the same physical
   domain ("attributes naming": the compiler simulates the binding
   evolution and inserts the cheapest renames),
@@ -274,17 +275,21 @@ def compile_rule(
         """Emit the load/filter/project/rename chain for one body atom."""
         cur: Set[PhysRef] = {p for _, _, p in _atom_schema(program, atom)}
         node = emit(Load, cur, atom.relation, use_delta, origin=origin)
-        for phys, term in const_filters:
-            probe = emit(Const, (phys,), phys, term, origin=origin)
-            node = emit(And, cur, node.out, probe.out, False, origin=origin)
-        for keep, dup in dup_eqs:
-            probe = emit(Equal, (keep, dup), keep, dup, origin=origin)
-            node = emit(And, cur, node.out, probe.out, False, origin=origin)
-        if project:
-            cur -= set(project)
-            node = emit(
-                Exist, cur, node.out, tuple(sorted(project)), origin=origin
-            )
+        filters = [(Const, (phys,), phys, term) for phys, term in const_filters]
+        filters += [(Equal, (keep, dup), keep, dup) for keep, dup in dup_eqs]
+        probe: Optional[Op] = None
+        for cls, probe_schema, *args in filters:
+            if probe is not None:
+                node = emit(And, cur, node.out, probe.out, False, origin=origin)
+            probe = emit(cls, probe_schema, *args, origin=origin)
+        refs = tuple(sorted(project))
+        cur -= set(project)
+        if probe is not None:
+            # The last filter and the projection as one join-project:
+            # rel_prod(node, probe, refs) == exist(and(node, probe), refs).
+            node = emit(RelProd, cur, node.out, probe.out, refs, origin=origin)
+        elif refs:
+            node = emit(Exist, cur, node.out, refs, origin=origin)
         if rename:
             cur = {rename.get(p, p) for p in cur}
             node = emit(

@@ -18,7 +18,7 @@ magic relation; each IDB body atom both consumes its adorned version
 and contributes a magic rule that seeds it from the atoms to its left.
 The rewritten :class:`~repro.datalog.ast.ProgramAST` flows through the
 ordinary compile path — plan IR, pass pipeline, ``validate_plan`` — so
-domain assignment, hoisting and fusion apply to demand programs unchanged.
+domain assignment and hoisting apply to demand programs unchanged.
 
 Stratified negation is handled soundly by *not* adorning through
 negation: a negated IDB atom keeps its original predicate, whose full

@@ -24,14 +24,6 @@ module rewrites the lowered :class:`~repro.datalog.plan.RulePlan` ops:
     structurally identical slots across plans (the delta variants of a
     rule usually prepare the same invariant atoms).
 
-``fuse``
-    Merge adjacent op pairs into fused superops (``Replace`` consuming a
-    single-use ``RelProd`` becomes :class:`RelProdReplace`; ``Exist``
-    consuming a single-use ``And`` becomes :class:`AndExist`) so one
-    executor dispatch does what two did, and group the operand loads the
-    independent recursive plans of a stratum re-issue every fixpoint
-    iteration into shared per-stratum slots (:class:`SharedLoad`).
-
 Pass selection: ``PassOptions.resolve`` honours the ``REPRO_PLAN_OPT``
 environment variable (off/0/false disables the whole pipeline),
 overridden by the explicit ``optimize=`` solver argument.  The solver's
@@ -40,7 +32,7 @@ overridden by the explicit ``optimize=`` solver argument.  The solver's
 Plans are built once per program per process, as bddbddb translates a
 program once.  :func:`build_plans` lowers, stratifies and optimizes a
 program and memoizes the :class:`~repro.datalog.plan.PlanUnit` (plans,
-instance pool, hoisted and shared slots) with the strata, so every
+instance pool, hoisted slots) with the strata, so every
 solver of one program — each compile phase, each edit, each demand
 epoch — shares them.  The key is the domain names in declaration order,
 the relation declarations, the rules in order (the AST dataclasses are
@@ -75,22 +67,17 @@ from .compiler import (
 )
 from .plan import (
     And,
-    AndExist,
     CopyInto,
     Diff,
     Exist,
     HoistedSlot,
-    Load,
     LoadHoisted,
     Op,
     PhysRef,
     PlanUnit,
     Replace,
     RelProd,
-    RelProdReplace,
     RulePlan,
-    SharedLoad,
-    SharedSlot,
     validate_plan,
 )
 from .stratify import Stratum, stratify
@@ -104,7 +91,7 @@ __all__ = [
     "replace_cost",
 ]
 
-PASS_NAMES: Tuple[str, ...] = ("assign-domains", "hoist", "fuse")
+PASS_NAMES: Tuple[str, ...] = ("assign-domains", "hoist")
 
 #: Environment switch (exported by the CLI so supervised workers and
 #: subprocesses inherit the choice).
@@ -149,7 +136,7 @@ class PassOptions:
 
 
 def _remap_inputs(op: Op, f) -> None:
-    if isinstance(op, (And, Diff, RelProd, RelProdReplace, AndExist)):
+    if isinstance(op, (And, Diff, RelProd)):
         op.lhs = f(op.lhs)
         op.rhs = f(op.rhs)
     elif isinstance(op, (Exist, Replace, CopyInto)):
@@ -438,126 +425,6 @@ def _pass_hoist(
 
 
 # ----------------------------------------------------------------------
-# fuse: superop fusion + stratum shared-operand grouping
-# ----------------------------------------------------------------------
-
-
-def _fuse_ops(ops: List[Op]) -> List[Op]:
-    """Merge ``Replace(RelProd(...))`` and ``Exist(And(...))`` pairs where
-    the rename/projection is the producer's only reader."""
-    while True:
-        by_out = {op.out: op for op in ops}
-        uses: Dict[int, int] = {}
-        for op in ops:
-            for r in op.inputs():
-                uses[r] = uses.get(r, 0) + 1
-        merged = False
-        for i, op in enumerate(ops):
-            fused: Optional[Op] = None
-            src: Optional[Op] = None
-            if isinstance(op, Replace):
-                src = by_out[op.src]
-                if isinstance(src, RelProd) and uses.get(src.out, 0) == 1:
-                    fused = RelProdReplace(
-                        op.out, op.schema, src.lhs, src.rhs, src.refs, op.mapping
-                    )
-            elif isinstance(op, Exist):
-                src = by_out[op.src]
-                if isinstance(src, And) and uses.get(src.out, 0) == 1:
-                    fused = AndExist(
-                        op.out, op.schema, src.lhs, src.rhs, op.refs
-                    )
-            if fused is not None:
-                fused.spine = op.spine or src.spine
-                fused.origin = op.origin
-                out = [o for o in ops[:i] if o.out != src.out]
-                out.append(fused)
-                out.extend(ops[i + 1:])
-                _renumber_ops(out)
-                ops = out
-                merged = True
-                break
-        if not merged:
-            return ops
-
-
-def _pass_fuse(
-    unit: PlanUnit,
-    strata: Sequence[Stratum],
-    rule_stratum: Dict[int, int],
-) -> None:
-    """Fuse adjacent superop pairs in every plan and hoisted slot, then
-    group the loads the independent recursive plans of a stratum re-issue
-    every fixpoint iteration into per-stratum shared-operand slots."""
-    for plan in unit.plans.values():
-        plan.ops = _fuse_ops(plan.ops)
-    for slot in unit.hoisted.values():
-        slot.ops = _fuse_ops(slot.ops)
-
-    # Group per-iteration operand loads.  Only the delta variants whose
-    # delta atom is a stratum predicate run inside the fixpoint loop;
-    # other variants keep plain loads (SharedLoad self-evaluates anyway).
-    rule_index = {id(rule): i for i, rule in enumerate(unit.program.rules)}
-    in_loop: Dict[int, List[Tuple[str, RulePlan]]] = {}
-    for key, plan in unit.plans.items():
-        rule_idx, variant = key
-        if variant is None:
-            continue
-        rule = unit.program.rules[rule_idx]
-        s_idx = rule_stratum.get(id(rule))
-        if s_idx is None:
-            continue
-        stratum = strata[s_idx]
-        atom = rule.positive_atoms[variant]
-        if atom.relation not in stratum.predicates:
-            continue
-        label = f"{plan.head_relation}#{rule_index[id(rule)]}/{variant}"
-        in_loop.setdefault(s_idx, []).append((label, plan))
-
-    stratum_shared: Dict[int, List[SharedSlot]] = {}
-    slot_counter = 0
-    for s_idx in sorted(in_loop):
-        plans = in_loop[s_idx]
-        counts: Dict[Tuple[str, bool], int] = {}
-        for _label, plan in plans:
-            seen: Set[Tuple[str, bool]] = set()
-            for op in plan.ops:
-                if isinstance(op, Load):
-                    k = (op.relation, op.use_delta)
-                    if k not in seen:
-                        seen.add(k)
-                        counts[k] = counts.get(k, 0) + 1
-        slots: Dict[Tuple[str, bool], SharedSlot] = {}
-        for label, plan in plans:
-            for i, op in enumerate(plan.ops):
-                if not isinstance(op, Load):
-                    continue
-                k = (op.relation, op.use_delta)
-                if counts.get(k, 0) < 2:
-                    continue
-                slot = slots.get(k)
-                if slot is None:
-                    slot = SharedSlot(
-                        slot_counter, op.relation, op.use_delta, op.schema
-                    )
-                    slot_counter += 1
-                    slots[k] = slot
-                load = SharedLoad(
-                    op.out, op.schema, slot.slot, op.relation, op.use_delta
-                )
-                load.spine = op.spine
-                load.origin = op.origin
-                plan.ops[i] = load
-                if label not in slot.shared_by:
-                    slot.shared_by.append(label)
-        if slots:
-            stratum_shared[s_idx] = sorted(
-                slots.values(), key=lambda s: s.slot
-            )
-    unit.stratum_shared = stratum_shared
-
-
-# ----------------------------------------------------------------------
 # Pipeline driver
 # ----------------------------------------------------------------------
 
@@ -589,16 +456,8 @@ def run_pipeline(
     if options.runs("hoist"):
         _pass_hoist(unit, strata, rule_stratum)
         applied.append("hoist")
-    if options.runs("fuse"):
-        _pass_fuse(unit, strata, rule_stratum)
-        applied.append("fuse")
-    all_shared = {
-        slot.slot: slot
-        for slots in unit.stratum_shared.values()
-        for slot in slots
-    }
     for plan in unit.plans.values():
-        validate_plan(unit.program, plan, unit.hoisted, all_shared)
+        validate_plan(unit.program, plan, unit.hoisted)
     unit.applied_passes = applied
     return unit
 

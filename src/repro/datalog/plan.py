@@ -2,7 +2,7 @@
 
 bddbddb is a *compiler*: a rule is lowered into a short straight-line
 program of BDD relational operations, and the interesting optimizations
-(attribute assignment, rename coalescing, loop-invariant hoisting) are
+(attribute assignment, loop-invariant hoisting) are
 rewrites over that program — not heuristics buried inside an interpreter.
 This module is the IR those rewrites operate on:
 
@@ -55,13 +55,9 @@ __all__ = [
     "Exist",
     "Replace",
     "RelProd",
-    "RelProdReplace",
-    "AndExist",
-    "SharedLoad",
     "CopyInto",
     "RulePlan",
     "HoistedSlot",
-    "SharedSlot",
     "PlanUnit",
     "ordered_schema",
     "phys_str",
@@ -276,69 +272,6 @@ class RelProd(Op):
 
 
 @dataclass
-class RelProdReplace(Op):
-    """Fused superop: ``Replace(RelProd(lhs, rhs, refs), mapping)`` as one
-    plan op.  Produced by the ``fuse`` pass when a rename is the sole
-    consumer of a join; the executor dispatches it once and passes the
-    join result straight to ``replace`` without a register store."""
-
-    lhs: int
-    rhs: int
-    refs: Tuple[PhysRef, ...]
-    mapping: Tuple[Tuple[PhysRef, PhysRef], ...]
-
-    kind: ClassVar[str] = "rel_prod_replace"
-
-    def inputs(self) -> Tuple[int, ...]:
-        return (self.lhs, self.rhs)
-
-    def args_key(self) -> Tuple[Any, ...]:
-        return (self.refs, self.mapping)
-
-
-@dataclass
-class AndExist(Op):
-    """Fused superop: ``Exist(And(lhs, rhs), refs)`` as one kernel call.
-    Semantically a :class:`RelProd` (the classic bddbddb fusion); kept as
-    a distinct kind so executed-op accounting can expand it back to its
-    ``and`` + ``exist`` equivalents."""
-
-    lhs: int
-    rhs: int
-    refs: Tuple[PhysRef, ...]
-
-    kind: ClassVar[str] = "and_exist"
-
-    def inputs(self) -> Tuple[int, ...]:
-        return (self.lhs, self.rhs)
-
-    def args_key(self) -> Tuple[Any, ...]:
-        return (self.refs,)
-
-
-@dataclass
-class SharedLoad(Op):
-    """Read one stratum-shared operand slot.
-
-    The ``fuse`` pass groups the loads that the independent rules of a
-    stratum re-issue every fixpoint iteration (deltas and
-    stratum-recursive relations) into a single per-iteration operand
-    table; each plan then reads its slot instead of re-resolving the
-    relation.  The op still carries ``relation``/``use_delta`` so it can
-    self-evaluate on paths that run outside the stratum loop (naive
-    evaluation, once-rules, delta pushes)."""
-
-    slot: int
-    relation: str
-    use_delta: bool
-
-    kind: ClassVar[str] = "shared_load"
-
-    def args_key(self) -> Tuple[Any, ...]:
-        return (self.slot, self.relation, self.use_delta)
-
-
-@dataclass
 class CopyInto(Op):
     """Terminator: merge the finished head tuples into ``relation``."""
 
@@ -387,13 +320,9 @@ class RulePlan:
                 refs.update((op.a, op.b))
             elif isinstance(op, Exist):
                 refs.update(op.refs)
-            elif isinstance(op, (RelProd, AndExist)):
+            elif isinstance(op, RelProd):
                 refs.update(op.refs)
             elif isinstance(op, Replace):
-                for s, d in op.mapping:
-                    refs.update((s, d))
-            elif isinstance(op, RelProdReplace):
-                refs.update(op.refs)
                 for s, d in op.mapping:
                     refs.update((s, d))
         return refs
@@ -415,23 +344,8 @@ class HoistedSlot:
 
 
 @dataclass
-class SharedSlot:
-    """One stratum-shared operand: a (relation, use_delta) load that two
-    or more of the stratum's recursive plans issue every iteration.  The
-    executor fills all of a stratum's slots in one pass at the top of
-    each fixpoint iteration; plans read them via :class:`SharedLoad`."""
-
-    slot: int
-    relation: str
-    use_delta: bool
-    schema: Tuple[PhysRef, ...]
-    #: plan labels referencing this slot (for --explain-plan).
-    shared_by: List[str] = field(default_factory=list)
-
-
-@dataclass
 class PlanUnit:
-    """Everything the executor needs: plans, hoisted and shared slots.
+    """Everything the executor needs: plans and hoisted slots.
 
     One unit serves every solver of its program (see
     :func:`~repro.datalog.passes.build_plans`), so it holds no solver
@@ -445,8 +359,6 @@ class PlanUnit:
     hoisted: Dict[int, HoistedSlot] = field(default_factory=dict)
     #: stratum index -> slot ids its plans reference (preamble listing).
     stratum_slots: Dict[int, List[int]] = field(default_factory=dict)
-    #: stratum index -> shared operand slots filled once per iteration.
-    stratum_shared: Dict[int, List[SharedSlot]] = field(default_factory=dict)
     applied_passes: List[str] = field(default_factory=list)
 
 
@@ -463,7 +375,6 @@ def validate_plan(
     program: ProgramAST,
     plan: RulePlan,
     hoisted: Optional[Dict[int, HoistedSlot]] = None,
-    shared: Optional[Dict[int, SharedSlot]] = None,
 ) -> None:
     """Check the structural invariants of a lowered (or rewritten) plan.
 
@@ -573,74 +484,19 @@ def validate_plan(
                 raise DatalogError(
                     f"plan {plan.rule}: Replace r{op.out} schema mismatch"
                 )
-        elif isinstance(op, (RelProd, AndExist)):
+        elif isinstance(op, RelProd):
             lhs = _schema_set(defined[op.lhs])
             rhs = _schema_set(defined[op.rhs])
             refs = set(op.refs)
             if not refs <= (lhs | rhs):
                 raise DatalogError(
-                    f"plan {plan.rule}: {type(op).__name__} r{op.out} projects "
+                    f"plan {plan.rule}: RelProd r{op.out} projects "
                     f"attributes {refs - (lhs | rhs)} not in its inputs"
                 )
             if schema != (lhs | rhs) - refs:
                 raise DatalogError(
-                    f"plan {plan.rule}: {type(op).__name__} r{op.out} schema "
-                    f"mismatch"
+                    f"plan {plan.rule}: RelProd r{op.out} schema mismatch"
                 )
-        elif isinstance(op, RelProdReplace):
-            lhs = _schema_set(defined[op.lhs])
-            rhs = _schema_set(defined[op.rhs])
-            refs = set(op.refs)
-            if not refs <= (lhs | rhs):
-                raise DatalogError(
-                    f"plan {plan.rule}: RelProdReplace r{op.out} projects "
-                    f"attributes {refs - (lhs | rhs)} not in its inputs"
-                )
-            joined = (lhs | rhs) - refs
-            sources = [s for s, _ in op.mapping]
-            targets = [d for _, d in op.mapping]
-            if len(set(sources)) != len(sources) or len(set(targets)) != len(targets):
-                raise DatalogError(
-                    f"plan {plan.rule}: RelProdReplace r{op.out} map not injective"
-                )
-            if not set(sources) <= joined:
-                raise DatalogError(
-                    f"plan {plan.rule}: RelProdReplace r{op.out} renames "
-                    f"attributes {set(sources) - joined} not in the join result"
-                )
-            stay = joined - set(sources)
-            clash = stay & set(targets)
-            if clash:
-                raise DatalogError(
-                    f"plan {plan.rule}: RelProdReplace r{op.out} targets "
-                    f"collide with in-place attributes {clash}"
-                )
-            for s, d in op.mapping:
-                if s[0] != d[0]:
-                    raise DatalogError(
-                        f"plan {plan.rule}: RelProdReplace r{op.out} maps "
-                        f"across logical domains {s} -> {d}"
-                    )
-            if schema != stay | set(targets):
-                raise DatalogError(
-                    f"plan {plan.rule}: RelProdReplace r{op.out} schema mismatch"
-                )
-        elif isinstance(op, SharedLoad):
-            decl = program.relations.get(op.relation)
-            if decl is None:
-                raise DatalogError(f"plan {plan.rule}: unknown relation {op.relation}")
-            if shared is not None:
-                slot = shared.get(op.slot)
-                if slot is None:
-                    raise DatalogError(
-                        f"plan {plan.rule}: load of unknown shared slot {op.slot}"
-                    )
-                if (slot.relation, slot.use_delta) != (op.relation, op.use_delta):
-                    raise DatalogError(
-                        f"plan {plan.rule}: shared slot {op.slot} holds "
-                        f"{slot.relation}/{slot.use_delta}, op expects "
-                        f"{op.relation}/{op.use_delta}"
-                    )
         elif isinstance(op, CopyInto):
             decl = program.relations.get(op.relation)
             if decl is None:
@@ -696,19 +552,6 @@ def format_op(op: Op) -> str:
         body = f"Replace r{op.src} {{{moves}}}"
     elif isinstance(op, RelProd):
         body = f"RelProd r{op.lhs}, r{op.rhs} over [{_refs_str(op.refs)}]"
-    elif isinstance(op, RelProdReplace):
-        moves = " ".join(
-            f"{phys_str(s)}->{phys_str(d)}" for s, d in op.mapping
-        )
-        body = (
-            f"RelProdReplace r{op.lhs}, r{op.rhs} over "
-            f"[{_refs_str(op.refs)}] {{{moves}}}"
-        )
-    elif isinstance(op, AndExist):
-        body = f"AndExist r{op.lhs}, r{op.rhs} drop [{_refs_str(op.refs)}]"
-    elif isinstance(op, SharedLoad):
-        what = f"delta({op.relation})" if op.use_delta else op.relation
-        body = f"SharedLoad slot#{op.slot} ({what})"
     elif isinstance(op, CopyInto):
         body = f"CopyInto {op.relation} <- r{op.src}"
     else:  # pragma: no cover - future op kinds
@@ -777,14 +620,6 @@ def format_unit(
             )
             for op in slot.ops:
                 lines.append(f"    {format_op(op)}")
-        for shared in unit.stratum_shared.get(s_idx, ()):
-            what = (
-                f"delta({shared.relation})" if shared.use_delta else shared.relation
-            )
-            lines.append(
-                f"  shared#{shared.slot}: per-iteration operand {what} "
-                f"(shared by {len(shared.shared_by)} plan(s))"
-            )
         recursive = set(map(id, stratum.recursive_rules))
         for rule in stratum.rules:
             ridx = rule_index[id(rule)]

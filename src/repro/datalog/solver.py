@@ -25,7 +25,7 @@ that faults cannot be resumed, so its caller rebuilds the solver.
 Since the plan-IR refactor the solver is an *executor*: rules are lowered
 to the register op programs of :mod:`repro.datalog.plan`, the optimizer
 passes of :mod:`repro.datalog.passes` rewrite them (attribute assignment,
-loop-invariant hoisting into stratum preamble slots, superop fusion), and
+loop-invariant hoisting into stratum preamble slots), and
 :meth:`Solver._apply_plan` interprets the result op by op, tallying
 executed operations per kind into ``SolveStats.plan_ops`` and — under
 ``trace_ops=True`` — recording per-op timing and result sizes for
@@ -149,7 +149,6 @@ class Solver:
         self._plans = self.plan_unit.plans
         self._instances = self.plan_unit.instances
         rules = self.plan_unit.program.rules
-        self._stratum_index = {id(s): i for i, s in enumerate(self._strata)}
         # Build the physical domain pool under the requested variable order.
         domain_bits: Dict[str, int] = {}
         for logical, count in self._instances.items():
@@ -598,27 +597,12 @@ class Solver:
             else:
                 deltas[pred] = self.relations[pred].node
         limit = self._iteration_limit()
-        s_idx = self._stratum_index.get(id(stratum))
-        shared_slots = (
-            self.plan_unit.stratum_shared.get(s_idx, []) if s_idx is not None else []
-        )
         for iteration in range(limit):
             self.stats.iterations += 1
             if faults.armed:
                 faults.fire("solver.stratum")
             if self._watchdog is not None:
                 self._watchdog.check()
-            # One pass over the stratum's shared operands: every plan in
-            # this iteration reads these slots instead of re-resolving its
-            # delta/recursive-relation loads.
-            shared: Optional[Dict[int, int]] = None
-            if shared_slots:
-                shared = {}
-                for slot in shared_slots:
-                    if slot.use_delta:
-                        shared[slot.slot] = deltas.get(slot.relation, FALSE)
-                    else:
-                        shared[slot.slot] = self.relations[slot.relation].node
             contributions: Dict[str, int] = {p: FALSE for p in stratum.predicates}
             for rule in stratum.recursive_rules:
                 ridx = self._rule_index[id(rule)]
@@ -628,7 +612,7 @@ class Solver:
                     if deltas.get(atom.relation, FALSE) == FALSE:
                         continue  # nothing new flows through this variant
                     plan = self._plans[(ridx, atom_pos)]
-                    result = self._apply_plan(plan, deltas, defer=True, shared=shared)
+                    result = self._apply_plan(plan, deltas, defer=True)
                     head = plan.head_relation
                     contributions[head] = m.or_(contributions[head], result)
             progressed = False
@@ -679,26 +663,11 @@ class Solver:
         op: Op,
         regs: List[int],
         deltas: Optional[Dict[str, int]],
-        shared: Optional[Dict[int, int]] = None,
     ) -> int:
         """Evaluate one non-terminator op against the register file."""
         m = self.manager
         kind = op.kind
         if kind == "load":
-            if op.use_delta:
-                if deltas is None:
-                    raise DatalogError(
-                        f"delta load of {op.relation} executed without deltas"
-                    )
-                return deltas.get(op.relation, FALSE)
-            return self.relations[op.relation].node
-        if kind == "shared_load":
-            # Inside the semi-naive loop the stratum operand table holds
-            # the slot; on other paths the op self-evaluates.
-            if shared is not None:
-                node = shared.get(op.slot)
-                if node is not None:
-                    return node
             if op.use_delta:
                 if deltas is None:
                     raise DatalogError(
@@ -729,16 +698,6 @@ class Solver:
             return m.rel_prod(
                 regs[op.lhs], regs[op.rhs], m.varset(self._levels(op.refs))
             )
-        if kind == "rel_prod_replace":
-            joined = m.rel_prod(
-                regs[op.lhs], regs[op.rhs], m.varset(self._levels(op.refs))
-            )
-            return m.replace(joined, self._rename_id(dict(op.mapping)))
-        if kind == "and_exist":
-            # exist(and(a, b), vs) is exactly rel_prod — one kernel call.
-            return m.rel_prod(
-                regs[op.lhs], regs[op.rhs], m.varset(self._levels(op.refs))
-            )
         raise DatalogError(f"executor: unknown op kind {kind!r}")
 
     def _hoisted_node(self, slot_id: int) -> int:
@@ -764,7 +723,6 @@ class Solver:
         plan: RulePlan,
         deltas: Optional[Dict[str, int]],
         defer: bool = False,
-        shared: Optional[Dict[int, int]] = None,
     ) -> int:
         """Execute one compiled rule variant's op program.
 
@@ -798,7 +756,7 @@ class Solver:
                     traces[i][0] += 1
                 break
             t0 = time.monotonic() if traces is not None else 0.0
-            node = self._eval_op(op, regs, deltas, shared)
+            node = self._eval_op(op, regs, deltas)
             regs[op.out] = node
             tallies[op.kind] = tallies.get(op.kind, 0) + 1
             if traces is not None:

@@ -122,8 +122,8 @@ ABLATION_ROWS = [
     {"ablation": "seminaive", "fast_apps": 195, "naive_apps": 214},
     {"ablation": "order", "good_nodes": 220_000, "bad_nodes": 880_000},
     {"ablation": "typefilter", "on_tuples": 17529, "off_tuples": 18471},
-    {"ablation": "planopt", "on_replace": 40, "off_replace": 90,
-     "on_ops": 700, "off_ops": 760},
+    {"ablation": "planopt", "on_replace": 150, "off_replace": 269,
+     "on_kernel_ops": 359_433, "off_kernel_ops": 363_344},
     {"ablation": "numbering", "contiguous_nodes": 50_000,
      "shuffled_nodes": 370_000},
 ]

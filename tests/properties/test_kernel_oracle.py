@@ -123,8 +123,8 @@ def _run(backend, seed, num_vars=NV):
             u = m.rel_prod(nodes[i], nodes[j], m.varset(levels))
             want = _exist(masks[i] & masks[j], levels)
         elif op == "replace":
-            # A rename of a join, as the solver runs a fused
-            # RelProdReplace op, under replace's precondition: rename
+            # A rename of a join, as the solver runs a Replace of a
+            # RelProd's result, under replace's precondition: rename
             # targets are drawn from the quantified levels, so they are
             # outside the support of the rel_prod result (renames land
             # on the just-vacated domain instance).
