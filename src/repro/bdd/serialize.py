@@ -20,7 +20,9 @@ separately saved files loaded into one manager) is preserved.
 Both directions are bulk operations on the kernel: a dump formats the
 node lists of :meth:`BddKernel.export_nodes`, and a load decodes the node
 lines of a canonical payload in chunks and hands each chunk to
-:meth:`BddKernel.import_nodes`.
+:meth:`BddKernel.import_nodes`.  :func:`decode_bdd_lines` and
+:func:`import_decoded` are the same load in two steps, for a caller that
+rebuilds one decoded payload into several kernels.
 
 Loading is defensive: bad magic, malformed records, dangling node
 references, out-of-range levels, duplicate ids, and truncated files (the
@@ -33,20 +35,31 @@ non-canonical forms (comments, blank lines, any id numbering).
 from __future__ import annotations
 
 import pathlib
+from array import array
+from dataclasses import dataclass
 from itertools import repeat
 from operator import ge
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .api import BDDError, BddKernel, FALSE, TRUE
 
-__all__ = ["save_bdd", "load_bdd", "dump_bdd_lines", "parse_bdd_lines"]
+__all__ = [
+    "DecodedBdd",
+    "save_bdd",
+    "load_bdd",
+    "dump_bdd_lines",
+    "parse_bdd_lines",
+    "decode_bdd_lines",
+    "import_decoded",
+    "parse_bdd_records",
+]
 
 PathLike = Union[str, pathlib.Path]
 
 _MAGIC = "# repro-bdd 1"
 
-# Node lines decoded per join/split: whole-section decoding would double
-# the loader's transient peak for no further speed.
+# Node lines decoded per join/split: decoding a whole section into int
+# lists would double the loader's transient peak for no further speed.
 _CHUNK = 512
 
 
@@ -98,7 +111,7 @@ def parse_bdd_lines(
     """
     roots = _parse_canonical(manager, lines)
     if roots is None:
-        roots = _parse_line_by_line(manager, lines, name, first_lineno)
+        roots = parse_bdd_records(manager, lines, name, first_lineno)
     return roots
 
 
@@ -113,31 +126,33 @@ def _header_value(line: str, kind: str) -> int:
         return -1
 
 
-def _parse_canonical(manager: BddKernel, lines: Sequence[str]) -> Optional[List[int]]:
-    """Load a canonical payload in bulk; ``None`` if it is not canonical.
+def _decode_canonical(
+    lines: Sequence[str], max_vars: int, sink: Callable[..., None]
+) -> Optional[List[int]]:
+    """Decode and validate a canonical payload; its root ids, or ``None``
+    if it is not canonical.
 
-    Canonical means: the magic line, ``vars``, ``roots``, then node ids
-    2, 3, ... in order with single-space fields, each child a terminal or
-    an earlier id, each level inside ``vars``, then exactly the declared
-    ``root`` records, each naming a terminal or a node.  Each chunk of
-    node lines is decoded with one join and one split, validated as a
-    whole, and only then rebuilt.
+    Canonical means: the magic line, ``vars`` (at most ``max_vars``),
+    ``roots``, then node ids 2, 3, ... in order with single-space fields,
+    each child a terminal or an earlier id, each level inside ``vars``,
+    then exactly the declared ``root`` records, each naming a terminal or
+    a node.  Each chunk of node lines is decoded with one join and one
+    split, validated as a whole, and only then handed to
+    ``sink(levels, lows, highs)``.
     """
     if len(lines) < 3 or lines[0] != _MAGIC:
         return None
     num_vars = _header_value(lines[1], "vars")
     num_roots = _header_value(lines[2], "roots")
-    if not 0 <= num_vars <= manager.num_vars or num_roots < 0:
+    if not 0 <= num_vars <= max_vars or num_roots < 0:
         return None
     end = len(lines) - num_roots
     if end < 3:
         return None
-    handles = [FALSE, TRUE]
     for start in range(3, end, _CHUNK):
         chunk = lines[start:min(start + _CHUNK, end)]
         count = len(chunk)
-        first = len(handles)
-        ids = range(first, first + count)
+        ids = range(start - 1, start - 1 + count)
         fields = " ".join(chunk).split(" ")
         # Every line starts with a "node" field and only every fifth
         # field may be one (the others must parse as ints), so each line
@@ -163,7 +178,7 @@ def _parse_canonical(manager: BddKernel, lines: Sequence[str]) -> Optional[List[
             or any(map(ge, highs, ids))
         ):
             return None
-        manager.import_nodes(levels, lows, highs, handles)
+        sink(levels, lows, highs)
     tail = lines[end:]
     fields = " ".join(tail).split(" ") if tail else []
     if len(fields) != 2 * num_roots or not all(
@@ -174,12 +189,71 @@ def _parse_canonical(manager: BddKernel, lines: Sequence[str]) -> Optional[List[
         root_ids = list(map(int, fields[1::2]))
     except ValueError:
         return None
-    if root_ids and not 0 <= min(root_ids) <= max(root_ids) < len(handles):
+    # Ids 0 .. end - 2: the two terminals and the end - 3 node lines.
+    if root_ids and not 0 <= min(root_ids) <= max(root_ids) < end - 1:
         return None
-    return [handles[r] for r in root_ids]
+    return root_ids
 
 
-def _parse_line_by_line(
+def _parse_canonical(manager: BddKernel, lines: Sequence[str]) -> Optional[List[int]]:
+    """Load a canonical payload chunk by chunk; ``None`` if it is not
+    canonical."""
+    handles = [FALSE, TRUE]
+    root_ids = _decode_canonical(
+        lines,
+        manager.num_vars,
+        lambda levels, lows, highs: manager.import_nodes(
+            levels, lows, highs, handles
+        ),
+    )
+    return None if root_ids is None else [handles[r] for r in root_ids]
+
+
+@dataclass(frozen=True)
+class DecodedBdd:
+    """A canonical payload decoded and validated, ready to rebuild into
+    any kernel with at least ``num_vars`` variables."""
+
+    num_vars: int
+    levels: array
+    lows: array
+    highs: array
+    root_ids: Tuple[int, ...]
+
+
+def decode_bdd_lines(lines: Sequence[str], max_vars: int) -> Optional[DecodedBdd]:
+    """Decode a canonical payload of at most ``max_vars`` variables whole,
+    with :func:`parse_bdd_lines`' validation; ``None`` if it is not
+    canonical (the record-at-a-time loader then owns its diagnostics).
+
+    The node fields are kept as ``array('i')``: a fraction of the memory
+    of int lists, for a result its caller may hold on to.
+    """
+    levels, lows, highs = array("i"), array("i"), array("i")
+
+    def extend(chunk_levels, chunk_lows, chunk_highs):
+        levels.extend(chunk_levels)
+        lows.extend(chunk_lows)
+        highs.extend(chunk_highs)
+
+    root_ids = _decode_canonical(lines, max_vars, extend)
+    if root_ids is None:
+        return None
+    return DecodedBdd(
+        _header_value(lines[1], "vars"), levels, lows, highs, tuple(root_ids)
+    )
+
+
+def import_decoded(manager: BddKernel, decoded: DecodedBdd) -> List[int]:
+    """Rebuild a :class:`DecodedBdd` with one :meth:`BddKernel.import_nodes`;
+    returns the root handles.  ``manager`` must have at least
+    ``decoded.num_vars`` variables."""
+    handles = [FALSE, TRUE]
+    manager.import_nodes(decoded.levels, decoded.lows, decoded.highs, handles)
+    return [handles[r] for r in decoded.root_ids]
+
+
+def parse_bdd_records(
     manager: BddKernel,
     lines: Sequence[str],
     name: str,

@@ -18,23 +18,11 @@ CLI::
 
     python -m repro.bench.harness all --small
     python -m repro.bench.harness report --small
-"""
 
-from .generator import WorkloadParams, generate_program
-from .corpus import CORPUS, CorpusEntry, corpus_entry, corpus_names, corpus_program
-from .harness import (
-    BenchmarkRun,
-    ablation_table,
-    fig3_table,
-    fig4_table,
-    fig5_table,
-    fig6_table,
-    kcfa_table,
-    precision_table,
-    run_benchmark,
-    run_corpus,
-    scaling_table,
-)
+The names below are imported lazily (PEP 562): ``python -m
+repro.bench.harness`` imports this package first, and an eager import of
+``.harness`` here would load that module a second time, as ``__main__``.
+"""
 
 __all__ = [
     "CORPUS",
@@ -56,3 +44,33 @@ __all__ = [
     "run_corpus",
     "scaling_table",
 ]
+
+_LAZY = {
+    "CORPUS": "corpus",
+    "CorpusEntry": "corpus",
+    "corpus_entry": "corpus",
+    "corpus_names": "corpus",
+    "corpus_program": "corpus",
+    "WorkloadParams": "generator",
+    "generate_program": "generator",
+    "BenchmarkRun": "harness",
+    "ablation_table": "harness",
+    "fig3_table": "harness",
+    "fig4_table": "harness",
+    "fig5_table": "harness",
+    "fig6_table": "harness",
+    "kcfa_table": "harness",
+    "precision_table": "harness",
+    "run_benchmark": "harness",
+    "run_corpus": "harness",
+    "scaling_table": "harness",
+}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    return getattr(importlib.import_module(f".{module}", __name__), name)

@@ -28,6 +28,13 @@ Properties:
 * **order-independent** — the saved per-domain level assignment is
   recorded; when the target solver uses a different variable order the
   payload is staged in a scratch manager and rebuilt level-by-level.
+
+A process decodes each payload once: the decoded node arrays of the last
+few payloads are kept by the sha256 of the payload lines actually read,
+so restoring one checkpoint again (an editor session or a benchmark
+recompiles every edit against one parent bundle) skips straight to the
+rebuild.  A hit skips no check: the digest is recomputed and compared,
+and the schema, level and variable-count checks run against each target.
 """
 
 from __future__ import annotations
@@ -35,12 +42,19 @@ from __future__ import annotations
 import hashlib
 import json
 import pathlib
+import threading
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..bdd import BDDError, create_kernel
 from ..bdd.reorder import rebuild_with_levels
-from ..bdd.serialize import dump_bdd_lines, parse_bdd_lines
+from ..bdd.serialize import (
+    DecodedBdd,
+    decode_bdd_lines,
+    dump_bdd_lines,
+    import_decoded,
+    parse_bdd_records,
+)
 from .atomic import atomic_write_text
 from .errors import CheckpointError, InvalidInputError
 from .version import check_tool_version, tool_meta
@@ -64,6 +78,12 @@ _MAGIC = "# repro-checkpoint 2"
 # and writing tool so cross-version resume fails up front with
 # InvalidInputError instead of a confusing schema mismatch.
 FORMAT_VERSION = 2
+
+# Decoded canonical payloads by the sha256 of their lines, oldest first:
+# one fixpoint bundle's three sections, plus one.
+_MEMO_SIZE = 4
+_decoded: Dict[str, DecodedBdd] = {}
+_decoded_lock = threading.Lock()
 
 
 @dataclass
@@ -242,7 +262,7 @@ def _parse_header(lines: List[str], path: str):
             f"{path}: checksum mismatch: payload is corrupt "
             f"(expected {digest[:12]}..., got {actual[:12]}...)"
         )
-    return meta, payload
+    return meta, payload, actual
 
 
 def load_checkpoint(solver, path: PathLike) -> CheckpointMeta:
@@ -253,8 +273,8 @@ def load_checkpoint(solver, path: PathLike) -> CheckpointMeta:
     the payload is then rebuilt under the target's level assignment.
     """
     target = pathlib.Path(path)
-    meta, payload = _read_header(target)
-    return _load_parsed(solver, meta, payload, str(target))
+    meta, payload, digest = _read_header(target)
+    return _load_parsed(solver, meta, payload, digest, str(target))
 
 
 def load_checkpoint_lines(solver, lines: List[str], name: str) -> CheckpointMeta:
@@ -263,12 +283,33 @@ def load_checkpoint_lines(solver, lines: List[str], name: str) -> CheckpointMeta
     ``name`` labels diagnostics (e.g. ``"bundle.fix#cs"`` for a fixpoint
     bundle section).  Same validation as :func:`load_checkpoint`.
     """
-    meta, payload = _parse_header(lines, name)
-    return _load_parsed(solver, meta, payload, name)
+    meta, payload, digest = _parse_header(lines, name)
+    return _load_parsed(solver, meta, payload, digest, name)
+
+
+def _rebuild(manager, payload: List[str], digest: str, target: str) -> List[int]:
+    """Rebuild ``payload``, whose lines hash to ``digest``, into
+    ``manager``; returns the root handles.  A canonical payload is decoded
+    once per process (see the module docstring); any other goes to the
+    record-at-a-time loader, which accepts or diagnoses it."""
+    with _decoded_lock:
+        decoded = _decoded.get(digest)
+    if decoded is None:
+        decoded = decode_bdd_lines(payload, manager.num_vars)
+        if decoded is None:
+            return parse_bdd_records(manager, payload, target, 5)
+        with _decoded_lock:
+            if len(_decoded) >= _MEMO_SIZE:
+                del _decoded[next(iter(_decoded))]
+            _decoded[digest] = decoded
+    elif decoded.num_vars > manager.num_vars:
+        # The loader's "file uses N variables" diagnostic.
+        return parse_bdd_records(manager, payload, target, 5)
+    return import_decoded(manager, decoded)
 
 
 def _load_parsed(
-    solver, meta: Dict[str, Any], payload: List[str], target: str
+    solver, meta: Dict[str, Any], payload: List[str], digest: str, target: str
 ) -> CheckpointMeta:
     schema = _schema_of(solver)
     if meta.get("relations") != schema:
@@ -288,9 +329,7 @@ def _load_parsed(
 
     try:
         if saved_levels == current_levels:
-            roots = parse_bdd_lines(
-                solver.manager, payload, name=str(target), first_lineno=5
-            )
+            roots = _rebuild(solver.manager, payload, digest, target)
         else:
             # Different variable order: stage in a scratch manager, then
             # rebuild under the target's levels (order-correcting ite).
@@ -298,9 +337,7 @@ def _load_parsed(
                 num_vars=int(meta.get("num_vars", solver.manager.num_vars)),
                 backend=solver.manager.backend_name,
             )
-            staged = parse_bdd_lines(
-                scratch, payload, name=str(target), first_lineno=5
-            )
+            staged = _rebuild(scratch, payload, digest, target)
             level_map: Dict[int, int] = {}
             for dom_name, old in saved_levels.items():
                 new = current_levels[dom_name]

@@ -2,8 +2,10 @@
 
 The codec dumps through ``BddKernel.export_nodes`` and loads canonical
 payloads in chunks through ``BddKernel.import_nodes``, handing anything
-else to the record-at-a-time loader.  These tests hold both halves to the
-algorithms they replaced, kept here as oracles: a post-order dump that
+else to the record-at-a-time loader; a checkpoint restore decodes the
+whole payload first and rebuilds it with one ``import_nodes``.  These
+tests hold both halves to the algorithms they replaced, kept here as
+oracles: a post-order dump that
 walks ``var_of``/``low``/``high`` node by node, and the original line
 loop.  Forests are random, with terminal and repeated roots, shared
 subgraphs, and node counts on both sides of multiples of the chunk size.
@@ -16,7 +18,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bdd import BDDError, FALSE, TRUE, create_kernel
-from repro.bdd.serialize import _CHUNK, dump_bdd_lines, parse_bdd_lines
+from repro.bdd.serialize import (
+    _CHUNK,
+    decode_bdd_lines,
+    dump_bdd_lines,
+    import_decoded,
+    parse_bdd_lines,
+    parse_bdd_records,
+)
 from repro.runtime import faults
 
 BACKENDS = ["reference", "packed"]
@@ -197,6 +206,18 @@ def make_forest(backend, seed, size, extra_roots):
     return manager, roots
 
 
+def decode_then_import(manager, lines, name="<bdd>", first_lineno=1):
+    """A checkpoint restore's load: the whole payload decoded, then
+    rebuilt; a non-canonical one goes to the record loader."""
+    decoded = decode_bdd_lines(lines, manager.num_vars)
+    if decoded is None:
+        return parse_bdd_records(manager, lines, name, first_lineno)
+    return import_decoded(manager, decoded)
+
+
+LOADERS = [parse_bdd_lines, decode_then_import]
+
+
 # ----------------------------------------------------------------------
 # Round trips
 # ----------------------------------------------------------------------
@@ -210,17 +231,18 @@ def test_dump_equals_reference_and_round_trips(forest):
     assert lines == reference_dump(manager, roots)
     assert count == len(lines) - 3 - len(roots)
 
-    # Loading into the source kernel is all unique-table hits.
-    before = manager.node_count()
-    assert parse_bdd_lines(manager, lines) == roots
-    assert manager.node_count() == before
+    for parse in LOADERS:
+        # Loading into the source kernel is all unique-table hits.
+        before = manager.node_count()
+        assert parse(manager, lines) == roots
+        assert manager.node_count() == before
 
-    # A fresh kernel of either backend rebuilds the same bytes.
-    for other in BACKENDS:
-        fresh = create_kernel(num_vars=NVARS, backend=other)
-        loaded = parse_bdd_lines(fresh, lines)
-        assert dump_bdd_lines(fresh, loaded)[0] == lines
-        assert fresh.peak_nodes == fresh.node_count() == count + 2
+        # A fresh kernel of either backend rebuilds the same bytes.
+        for other in BACKENDS:
+            fresh = create_kernel(num_vars=NVARS, backend=other)
+            loaded = parse(fresh, lines)
+            assert dump_bdd_lines(fresh, loaded)[0] == lines
+            assert fresh.peak_nodes == fresh.node_count() == count + 2
 
 
 # ----------------------------------------------------------------------
@@ -332,9 +354,9 @@ def assert_loads_like_the_line_loop(backend, seed, size, extra_roots, kinds):
     rng = random.Random(seed)
     for kind in kinds:
         lines = mutate(lines, kind, rng)
-    assert outcome(parse_bdd_lines, backend, lines) == outcome(
-        reference_parse, backend, lines
-    )
+    want = outcome(reference_parse, backend, lines)
+    for parse in LOADERS:
+        assert outcome(parse, backend, lines) == want
 
 
 @given(
@@ -366,7 +388,7 @@ def test_load_fires_the_mk_fault(backend, hit):
     roots = build_forest(manager, seed=hit, size=2 * _CHUNK + 40, extra_roots=2)
     lines, _ = dump_bdd_lines(manager, roots)
     arenas = []
-    for parse in (parse_bdd_lines, reference_parse):
+    for parse in LOADERS + [reference_parse]:
         faults.arm(f"exception@bdd.mk#{hit}")
         try:
             fresh = create_kernel(num_vars=NVARS, backend=backend)
@@ -375,4 +397,4 @@ def test_load_fires_the_mk_fault(backend, hit):
         finally:
             faults.disarm()
         arenas.append(fresh.node_count())
-    assert arenas[0] == arenas[1]
+    assert arenas[0] == arenas[1] == arenas[2]
