@@ -104,8 +104,10 @@ class BddKernel(ABC):
     ``peak_cache_entries``  high-water operation-cache entry count
     ``backend_name``        registry name of the backend (class attribute)
 
-    Relational operations are not counted here: the plan executor's
-    ``SolveStats.plan_ops`` is the one per-op counter, one layer above.
+    Relational operations are not counted here: one layer above, the
+    plan executor keeps one execution record per executed plan (per-op
+    counts and the ``op_count`` spent in it), which ``SolveStats.plan_ops``
+    sums by op kind.
     """
 
     #: Registry name; concrete backends override this.

@@ -165,37 +165,34 @@ def _optimize(args) -> Optional[bool]:
 
 
 def _print_profile(solver, as_json: bool) -> None:
-    """Per-rule profile table (or JSON) for --profile / --profile-json."""
-    profiles = solver.rule_profile()
+    """The execution records for --profile / --profile-json: one row per
+    executed (rule, variant) plan, most kernel ops first."""
+    rows = [
+        {"rule": p.rule, "variant": p.variant,
+         "applications": p.applications, "tuples_produced": p.tuples_produced,
+         "kernel_ops": p.kernel_ops, "seconds": round(p.seconds, 6)}
+        for p in solver.rule_profile()
+    ]
     if as_json:
         import json
 
-        print(
-            json.dumps(
-                [
-                    {
-                        "rule": p.rule,
-                        "applications": p.applications,
-                        "seconds": round(p.seconds, 6),
-                        "tuples_produced": p.tuples_produced,
-                    }
-                    for p in profiles
-                ],
-                indent=2,
-            )
-        )
+        print(json.dumps(rows, indent=2))
         return
-    if not profiles:
+    if not rows:
         print("rule profile: (no rules applied)")
         return
-    width = max(len(p.rule) for p in profiles)
-    width = min(width, 60)
-    print(f"{'rule':<{width}}  {'applies':>7}  {'hits':>5}  {'seconds':>9}")
-    for p in profiles:
-        rule = p.rule if len(p.rule) <= width else p.rule[: width - 3] + "..."
+    width = min(max(len(r["rule"]) for r in rows), 60)
+    print(
+        f"{'rule':<{width}}  {'variant':<11}  {'applies':>7}  {'hits':>5}  "
+        f"{'kernel_ops':>10}  {'seconds':>9}"
+    )
+    for r in rows:
+        rule = r["rule"]
+        rule = rule if len(rule) <= width else rule[: width - 3] + "..."
         print(
-            f"{rule:<{width}}  {p.applications:>7}  "
-            f"{p.tuples_produced:>5}  {p.seconds:>9.4f}"
+            f"{rule:<{width}}  {r['variant']:<11}  {r['applications']:>7}  "
+            f"{r['tuples_produced']:>5}  {r['kernel_ops']:>10}  "
+            f"{r['seconds']:>9.4f}"
         )
 
 
@@ -858,11 +855,11 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--profile", action="store_true",
-            help="print the per-rule evaluation profile after solving",
+            help="print the per-variant evaluation profile after solving",
         )
         p.add_argument(
             "--profile-json", action="store_true",
-            help="print the per-rule profile as JSON",
+            help="print the per-variant profile as JSON",
         )
 
     def common(p, multi=False, optional=False):

@@ -35,6 +35,7 @@ from typing import (
     Iterable,
     List,
     Optional,
+    Sequence,
     Set,
     Tuple,
 )
@@ -309,6 +310,14 @@ class RulePlan:
         # skip re-lowering plans the greedy choice already matches.
         self.var_targets: Dict[str, PhysRef] = {}
 
+    @property
+    def variant(self) -> str:
+        """``"once"`` for the whole rule, ``"delta=atomN"`` for the
+        variant reading positive atom N as a delta."""
+        if self.delta_index is None:
+            return "once"
+        return f"delta=atom{self.delta_index}"
+
     def phys_refs(self) -> Set[PhysRef]:
         """All physical domains this plan touches (for pool sizing)."""
         refs: Set[PhysRef] = set()
@@ -559,7 +568,7 @@ def format_op(op: Op) -> str:
     return f"r{op.out} = {body}"
 
 
-def _trace_note(trace: Optional[List[float]]) -> str:
+def _trace_note(trace: Optional[Sequence[float]]) -> str:
     if not trace or not trace[0]:
         return ""
     count, seconds, nodes = trace
@@ -569,14 +578,11 @@ def _trace_note(trace: Optional[List[float]]) -> str:
 def format_plan(
     plan: RulePlan,
     indent: str = "  ",
-    traces: Optional[List[List[float]]] = None,
+    traces: Optional[Sequence[Sequence[float]]] = None,
 ) -> List[str]:
     """Render one plan; ``traces`` are a solver's per-op execution
-    traces for it (``[count, seconds, result nodes]`` per op)."""
-    variant = (
-        "once" if plan.delta_index is None else f"delta=atom{plan.delta_index}"
-    )
-    lines = [f"plan [{variant}, {plan.source}] {plan.rule}"]
+    traces for it (``(count, seconds, peak result nodes)`` per op)."""
+    lines = [f"plan [{plan.variant}, {plan.source}] {plan.rule}"]
     widest = max((len(format_op(op)) for op in plan.ops), default=0)
     for i, op in enumerate(plan.ops):
         text = format_op(op)
@@ -591,7 +597,7 @@ def format_unit(
     unit: PlanUnit,
     strata,
     executed_only: bool = False,
-    traces: Optional[Dict[int, List[List[float]]]] = None,
+    traces: Optional[Dict[int, Sequence[Sequence[float]]]] = None,
 ) -> str:
     """Render a whole unit: per-stratum preamble slots, then plans.
 

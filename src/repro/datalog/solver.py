@@ -26,13 +26,12 @@ Since the plan-IR refactor the solver is an *executor*: rules are lowered
 to the register op programs of :mod:`repro.datalog.plan`, the optimizer
 passes of :mod:`repro.datalog.passes` rewrite them (attribute assignment,
 loop-invariant hoisting into stratum preamble slots), and
-:meth:`Solver._apply_plan` interprets the result op by op, tallying
-executed operations per kind into ``SolveStats.plan_ops`` and — under
-``trace_ops=True`` — recording per-op timing and result sizes for
-``repro datalog --explain-plan``.  The plans of a program are built once
-per process and shared by all its solvers
+:meth:`Solver._apply_plan` interprets the result op by op, updating
+one :class:`RuleProfile` record per executed plan, which every counter,
+``--profile`` and ``--explain-plan`` read.  The plans of a program are
+built once per process and shared by all its solvers
 (:func:`~repro.datalog.passes.build_plans`); the solver keeps its own
-state — traces, hoisted-slot values, profiles — beside them.
+state — records, hoisted-slot values — beside them.
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ from ..runtime.errors import IterationLimitExceeded, ReproError
 from .ast import DatalogError, NamedConst, NumberConst, ProgramAST, Term
 from .compiler import PhysRef
 from .passes import PassOptions, build_plans
-from .plan import Op, RulePlan, format_unit
+from .plan import HoistedSlot, Op, RulePlan, format_unit
 from .relation import Attribute, Relation, bdd_size
 from .stratify import Stratum
 
@@ -69,12 +68,22 @@ _MAX_ITERATIONS = 100_000
 
 @dataclass
 class RuleProfile:
-    """Per-rule evaluation profile (``--profile``)."""
+    """The execution record of one plan, a (rule, variant) pair
+    (``--profile``).  ``kernel_ops`` is the kernel ``op_count`` spent in
+    the plan's applications, hoisted slots they evaluate included;
+    ``counts`` are executions per op.  Under ``trace_ops`` only,
+    ``op_seconds`` and ``op_nodes`` hold per-op seconds and peak nodes."""
 
     rule: str
+    variant: str
+    plan: RulePlan = field(repr=False, compare=False)
     applications: int = 0
-    seconds: float = 0.0
     tuples_produced: int = 0  # number of applications yielding new tuples
+    seconds: float = 0.0
+    kernel_ops: int = 0
+    counts: List[int] = field(default_factory=list)
+    op_seconds: Optional[List[float]] = None
+    op_nodes: Optional[List[int]] = None
 
 
 @dataclass
@@ -83,22 +92,33 @@ class SolveStats:
 
     seconds: float = 0.0
     iterations: int = 0
-    rule_applications: int = 0
     peak_nodes: int = 0
-    strata: int = 0
-    # Operation-cache pressure: the high-water entry count across the
-    # manager's caches and how often the cap cleared them.  Cached entries
-    # also count toward the node budget (see Watchdog.check).
-    peak_cache_entries: int = 0
-    cache_clears: int = 0
-    # Which BddKernel backend produced these numbers (provenance for the
-    # benchmark tables and the differential harness).
-    backend: str = ""
-    # Executed plan operations by op kind ("replace", "rel_prod", ...):
-    # the observable the plan optimizer exists to shrink.  Ops inside
-    # hoisted preamble slots count only when the slot actually
-    # re-evaluates, so a hoisting win shows up here directly.
-    plan_ops: Dict[str, int] = field(default_factory=dict)
+    cache_clears: int = 0  # how often the op-cache cap cleared the caches
+    # The execution records by id of the plan, and how often each slot
+    # of ``hoisted`` re-evaluated: the totals below are summed from them.
+    records: Dict[int, RuleProfile] = field(default_factory=dict, repr=False)
+    slot_runs: Dict[int, int] = field(default_factory=dict, repr=False)
+    hoisted: Dict[int, HoistedSlot] = field(default_factory=dict, repr=False)
+
+    @property
+    def rule_applications(self) -> int:
+        return sum(r.applications for r in self.records.values())
+
+    @property
+    def plan_ops(self) -> Dict[str, int]:
+        """Executed plan operations by op kind ("replace", "rel_prod",
+        ...): the observable the plan optimizer exists to shrink.  Ops
+        inside hoisted preamble slots count only when the slot actually
+        re-evaluates, so a hoisting win shows up here directly."""
+        tallies: Dict[str, int] = {}
+        for record in self.records.values():
+            for op, count in zip(record.plan.ops, record.counts):
+                if count:
+                    tallies[op.kind] = tallies.get(op.kind, 0) + count
+        for slot_id, runs in self.slot_runs.items():
+            for op in self.hoisted[slot_id].ops:
+                tallies[op.kind] = tallies.get(op.kind, 0) + runs
+        return tallies
 
     @property
     def peak_bytes(self) -> int:
@@ -184,17 +204,8 @@ class Solver:
             self.relations[decl.name] = Relation(self.manager, decl.name, attrs)
         # Hoisted-slot value cache: slot id -> (relation version, node).
         self._hoist_cache: Dict[int, Tuple[int, int]] = {}
-        # Per-op execution traces under trace_ops, by id of the plan:
-        # [count, seconds, peak result nodes] per op.
-        self._traces: Dict[int, List[List[float]]] = {}
-        self.stats = SolveStats()
-        self._profiles: Dict[int, RuleProfile] = {
-            i: RuleProfile(rule=str(rule)) for i, rule in enumerate(rules)
-        }
+        self.stats = SolveStats(hoisted=self.plan_unit.hoisted)
         self._rule_index = {id(rule): i for i, rule in enumerate(rules)}
-        self._rule_of_plan: Dict[int, int] = {}
-        for (rule_idx, _variant), plan in self._plans.items():
-            self._rule_of_plan[id(plan)] = rule_idx
         self._watchdog: Optional[Watchdog] = None
         # Nodes held outside the relations that a stratum update must
         # keep alive (and remapped) across garbage collections.
@@ -401,7 +412,6 @@ class Solver:
             name: node for name, node in added.items() if node != FALSE
         }
         shrunk: Set[str] = set(dirty)
-        self.stats.strata = len(self._strata)
         self.last_completed_stratum = -1
         if self.budget is not None:
             self._watchdog = Watchdog(self.budget, self.manager)
@@ -561,12 +571,8 @@ class Solver:
     def _record_manager_stats(self) -> None:
         m = self.manager
         self.stats.peak_nodes = m.peak_nodes
-        entries = m.cache_entries()
-        if entries > m.peak_cache_entries:
-            m.peak_cache_entries = entries
-        self.stats.peak_cache_entries = m.peak_cache_entries
+        m.peak_cache_entries = max(m.peak_cache_entries, m.cache_entries())
         self.stats.cache_clears = m.cache_clears
-        self.stats.backend = m.backend_name
 
     def _iteration_limit(self) -> int:
         if self.budget is not None and self.budget.max_iterations is not None:
@@ -710,10 +716,10 @@ class Solver:
         if hit is not None and hit[0] == rel.version:
             return hit[1]
         regs = [FALSE] * len(slot.ops)
-        tallies = self.stats.plan_ops
         for op in slot.ops:
             regs[op.out] = self._eval_op(op, regs, None)
-            tallies[op.kind] = tallies.get(op.kind, 0) + 1
+        runs = self.stats.slot_runs
+        runs[slot_id] = runs.get(slot_id, 0) + 1
         node = regs[slot.ops[-1].out]
         self._hoist_cache[slot_id] = (rel.version, node)
         return node
@@ -733,48 +739,53 @@ class Solver:
         per iteration); otherwise the head relation is updated and the
         delta returned.
         """
-        self.stats.rule_applications += 1
         if self._watchdog is not None:
             self._watchdog.check()
-        profile = self._profiles[self._rule_of_plan[id(plan)]]
-        profile.applications += 1
+        record = self.stats.records.get(id(plan))
+        if record is None:
+            n = len(plan.ops)
+            record = self.stats.records[id(plan)] = RuleProfile(
+                str(plan.rule), plan.variant, plan, counts=[0] * n
+            )
+            if self.trace_ops:
+                record.op_seconds, record.op_nodes = [0.0] * n, [0] * n
+        record.applications += 1
+        m = self.manager
+        kernel_ops = m.op_count
         apply_start = time.monotonic()
         ops = plan.ops
         regs = [FALSE] * len(ops)
-        tallies = self.stats.plan_ops
-        traces = None
-        if self.trace_ops:
-            traces = self._traces.get(id(plan))
-            if traces is None:
-                traces = self._traces[id(plan)] = [[0, 0.0, 0] for _ in ops]
+        counts = record.counts
+        op_seconds = record.op_seconds
         current = FALSE
         for i, op in enumerate(ops):
             if op.kind == "copy_into":
                 current = regs[op.src]
-                tallies["copy_into"] = tallies.get("copy_into", 0) + 1
-                if traces is not None:
-                    traces[i][0] += 1
+                counts[i] += 1
                 break
-            t0 = time.monotonic() if traces is not None else 0.0
-            node = self._eval_op(op, regs, deltas)
+            if op_seconds is None:
+                node = self._eval_op(op, regs, deltas)
+            else:
+                t0 = time.monotonic()
+                node = self._eval_op(op, regs, deltas)
+                op_seconds[i] += time.monotonic() - t0
+                size = bdd_size(m, node)
+                if size > record.op_nodes[i]:
+                    record.op_nodes[i] = size
             regs[op.out] = node
-            tallies[op.kind] = tallies.get(op.kind, 0) + 1
-            if traces is not None:
-                tr = traces[i]
-                tr[0] += 1
-                tr[1] += time.monotonic() - t0
-                tr[2] = max(tr[2], bdd_size(self.manager, node))
+            counts[i] += 1
             if op.spine and node == FALSE:
                 current = FALSE
                 break
-        profile.seconds += time.monotonic() - apply_start
+        record.seconds += time.monotonic() - apply_start
+        record.kernel_ops += m.op_count - kernel_ops
         if defer:
             if current != FALSE:
-                profile.tuples_produced += 1
+                record.tuples_produced += 1
             return current
         delta = self.relations[plan.head_relation].union_node(current)
         if delta != FALSE:
-            profile.tuples_produced += 1
+            record.tuples_produced += 1
         return delta
 
     def _levels(self, refs: Iterable[PhysRef]) -> List[int]:
@@ -804,20 +815,28 @@ class Solver:
     # ------------------------------------------------------------------
 
     def rule_profile(self) -> List[RuleProfile]:
-        """Per-rule evaluation profile, most expensive first."""
+        """One record per executed plan, most kernel ops first (ties in
+        first-execution order)."""
         return sorted(
-            self._profiles.values(), key=lambda p: p.seconds, reverse=True
+            self.stats.records.values(),
+            key=lambda r: r.kernel_ops,
+            reverse=True,
         )
 
     def explain_plans(self, executed_only: bool = False) -> str:
         """Render the (optimized) plans for ``repro datalog --explain-plan``.
         Run :meth:`solve` with ``trace_ops=True`` first to get the
         cost annotations (execution counts, seconds, peak result nodes)."""
+        traces = {
+            plan_id: list(zip(r.counts, r.op_seconds, r.op_nodes))
+            for plan_id, r in self.stats.records.items()
+            if r.op_seconds is not None
+        }
         return format_unit(
             self.plan_unit,
             self._strata,
             executed_only=executed_only,
-            traces=self._traces,
+            traces=traces,
         )
 
     def plan_op_counts(self) -> Dict[str, int]:

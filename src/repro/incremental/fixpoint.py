@@ -16,14 +16,15 @@ previous fixpoint.  That state lives beside the database in a bundle::
     section escape <n lines>
     ...
 
-Each section is a complete, self-verifying v2 checkpoint document (its
-own meta, digest, and payload), so the existing checkpoint loader does
-all integrity and schema checking; the bundle adds only the envelope
-and the cross-phase facts: which database this fixpoint belongs to
-(``db_id`` — a bundle for the wrong database is rejected up front), the
-context-domain sizes the solvers were built with, the path count and the
-thread sites.  The compile configuration (variable order, mod-ref) is
-the database's own meta, which a warm recompile reads.
+Each section is a complete, self-verifying checkpoint document (its own
+meta, a digest over that meta and the payload, and the payload), so the
+existing checkpoint loader does all integrity and schema checking; the
+bundle adds only the envelope and the cross-phase facts: which database
+this fixpoint belongs to (``db_id`` — a bundle for the wrong database is
+rejected up front), the context-domain sizes the solvers were built
+with, the path count and the thread sites.  The compile configuration
+(variable order, mod-ref) is the database's own meta, which a warm
+recompile reads.
 
 Losing or lacking a bundle is never fatal: the recompiler falls back to
 a cold (from-scratch) compile of the edited facts and writes a fresh
@@ -53,7 +54,8 @@ __all__ = [
 PathLike = Union[str, pathlib.Path]
 
 _MAGIC = "# repro-fixpoint 1"
-FORMAT_VERSION = 1
+# 2: sections are version-3 checkpoints; older bundles recompile cold.
+FORMAT_VERSION = 2
 SECTIONS = ("ci", "cs", "escape")
 
 

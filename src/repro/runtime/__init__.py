@@ -12,8 +12,9 @@ clock.  This package makes such blowups *recoverable* instead of fatal:
   cooperative :class:`Watchdog` checked inside the BDD kernel's ``mk``
   hot path and the solver's stratum loop,
 * :mod:`repro.runtime.checkpoint` — atomic snapshot/restore of *all*
-  solver relations plus domain metadata (checkpoint format v2), with
-  corruption detection on load and order-independent restore,
+  solver relations plus domain metadata, with corruption detection on
+  load (one digest covers the meta line and the payload) and
+  order-independent restore,
 * :mod:`repro.runtime.degrade` — the machine-readable
   :class:`DegradationReport` describing which rung of the degradation
   ladder (full → resumed → k-truncated → context-insensitive) produced

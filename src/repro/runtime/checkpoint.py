@@ -1,4 +1,4 @@
-"""Checkpoint format v2: atomic snapshot/restore of a whole solver.
+"""Checkpoints: atomic snapshot/restore of a whole solver.
 
 A checkpoint captures *all* of a solver's relations (inputs, outputs, and
 intermediates — any subset-of-fixpoint state is sound to resume from
@@ -7,8 +7,8 @@ needed to reload them into a solver built later, possibly under a
 *different variable order* or on another backend.  Layout::
 
     # repro-checkpoint 2
-    meta {"format": 2, "relations": [...], "levels": {...}, ...}
-    sha256 <hex digest of the payload section>
+    meta {"format_version": 3, "relations": [...], "levels": {...}, ...}
+    sha256 <hex digest of the meta line and the payload digest>
     payload <number of payload lines>
     # repro-bdd 1
     vars 40
@@ -21,10 +21,12 @@ Properties:
 * **atomic** — written to a temp file in the same directory, then
   ``os.replace``d into place, so readers never observe a half-written
   checkpoint;
-* **self-verifying** — the payload digest is checked before any node is
-  rebuilt, and the relation schemas / domain sizes are checked against
-  the target solver, so corruption and program drift both fail with a
-  clear :class:`CheckpointError` instead of silently wrong relations;
+* **self-verifying** — the ``sha256`` record covers the meta line and
+  the payload, and is checked before any node is rebuilt; the relation
+  schemas / domain sizes are checked against the target solver, so
+  corruption, an edited meta (say, a changed ``next_stratum``) and
+  program drift all fail with a clear :class:`CheckpointError` instead
+  of silently wrong relations;
 * **order-independent** — the saved per-domain level assignment is
   recorded; when the target solver uses a different variable order the
   payload is staged in a scratch manager and rebuilt level-by-level.
@@ -73,11 +75,11 @@ PathLike = Union[str, pathlib.Path]
 
 _MAGIC = "# repro-checkpoint 2"
 
-# ``format`` (2) describes the file *layout* and predates version
-# stamping; ``format_version`` + ``tool`` identify the schema revision
-# and writing tool so cross-version resume fails up front with
-# InvalidInputError instead of a confusing schema mismatch.
-FORMAT_VERSION = 2
+# The magic line names the layout; ``format_version`` + ``tool`` name the
+# schema revision and writing tool, so a cross-version resume fails up
+# front with InvalidInputError instead of a checksum or schema mismatch.
+# Version 3: the digest covers the meta line too.
+FORMAT_VERSION = 3
 
 # Decoded canonical payloads by the sha256 of their lines, oldest first:
 # one fixpoint bundle's three sections, plus one.
@@ -133,7 +135,6 @@ def checkpoint_lines(
     payload, _ = dump_bdd_lines(solver.manager, roots)
     payload_text = "\n".join(payload)
     meta: Dict[str, Any] = {
-        "format": 2,
         "format_version": FORMAT_VERSION,
         "tool": tool_meta(),
         "relations": schema,
@@ -144,19 +145,15 @@ def checkpoint_lines(
         # backend can resume a checkpoint written by any other.
         "backend": solver.manager.backend_name,
         "next_stratum": next_stratum,
-        "stats": {
-            "iterations": solver.stats.iterations,
-            "rule_applications": solver.stats.rule_applications,
-            "peak_nodes": solver.manager.peak_nodes,
-        },
     }
     if extra_meta:
         meta.update(extra_meta)
+    meta_line = "meta " + json.dumps(meta, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(payload_text.encode()).hexdigest()
     lines = [
         _MAGIC,
-        "meta " + json.dumps(meta, sort_keys=True, separators=(",", ":")),
-        f"sha256 {digest}",
+        meta_line,
+        f"sha256 {_record_digest(meta_line, digest)}",
         f"payload {len(payload)}",
     ]
     lines.extend(payload)
@@ -187,14 +184,6 @@ def save_checkpoint(
     )
 
 
-def _read_header(path: pathlib.Path):
-    try:
-        text = path.read_text()
-    except OSError as err:
-        raise CheckpointError(f"{path}: cannot read checkpoint: {err}")
-    return _parse_header(text.splitlines(), str(path))
-
-
 def read_checkpoint(path: PathLike) -> Optional[Tuple[Dict[str, Any], List[str]]]:
     """Read the checkpoint at ``path`` once: its meta record and its
     document lines, which :func:`load_checkpoint_lines` then loads.
@@ -221,20 +210,22 @@ def _parse_meta(lines: List[str], path: str) -> Dict[str, Any]:
         meta = json.loads(lines[1][len("meta "):])
     except json.JSONDecodeError as err:
         raise CheckpointError(f"{path}:2: corrupt meta json: {err}")
-    if meta.get("format") != 2:
-        raise CheckpointError(
-            f"{path}:2: unsupported checkpoint format {meta.get('format')!r}"
-        )
-    # Version stamps are newer than the layout marker: files written
-    # before stamping carry neither key and still load.
-    if "format_version" in meta and meta["format_version"] != FORMAT_VERSION:
+    if meta.get("format_version") != FORMAT_VERSION:
         raise InvalidInputError(
-            f"{path}:2: checkpoint format_version {meta['format_version']!r} "
-            f"is not supported (this build reads version {FORMAT_VERSION}; "
-            f"re-run the solve to produce a fresh checkpoint)"
+            f"{path}:2: checkpoint format_version "
+            f"{meta.get('format_version')!r} is not supported (this build "
+            f"reads version {FORMAT_VERSION}; re-run the solve to produce a "
+            f"fresh checkpoint)"
         )
     check_tool_version(meta, str(path), "checkpoint")
     return meta
+
+
+def _record_digest(meta_line: str, payload_digest: str) -> str:
+    """The ``sha256`` record: one digest over the meta line and the
+    payload's digest, so the payload is hashed once and its digest stays
+    the key of the decoded-payload memo."""
+    return hashlib.sha256(f"{meta_line}\n{payload_digest}".encode()).hexdigest()
 
 
 def _parse_header(lines: List[str], path: str):
@@ -257,10 +248,12 @@ def _parse_header(lines: List[str], path: str):
             f"payload lines, found {len(payload)}"
         )
     actual = hashlib.sha256("\n".join(payload).encode()).hexdigest()
-    if actual != digest:
+    record = _record_digest(lines[1], actual)
+    if record != digest:
         raise CheckpointError(
-            f"{path}: checksum mismatch: payload is corrupt "
-            f"(expected {digest[:12]}..., got {actual[:12]}...)"
+            f"{path}: checksum mismatch: payload is corrupt or the meta "
+            f"record was changed (expected {digest[:12]}..., "
+            f"got {record[:12]}...)"
         )
     return meta, payload, actual
 
@@ -272,9 +265,11 @@ def load_checkpoint(solver, path: PathLike) -> CheckpointMeta:
     relation schemas and domain sizes); its variable order may differ —
     the payload is then rebuilt under the target's level assignment.
     """
-    target = pathlib.Path(path)
-    meta, payload, digest = _read_header(target)
-    return _load_parsed(solver, meta, payload, digest, str(target))
+    try:
+        lines = pathlib.Path(path).read_text().splitlines()
+    except OSError as err:
+        raise CheckpointError(f"{path}: cannot read checkpoint: {err}")
+    return load_checkpoint_lines(solver, lines, str(path))
 
 
 def load_checkpoint_lines(solver, lines: List[str], name: str) -> CheckpointMeta:
@@ -284,7 +279,57 @@ def load_checkpoint_lines(solver, lines: List[str], name: str) -> CheckpointMeta
     bundle section).  Same validation as :func:`load_checkpoint`.
     """
     meta, payload, digest = _parse_header(lines, name)
-    return _load_parsed(solver, meta, payload, digest, name)
+    schema = _schema_of(solver)
+    if meta.get("relations") != schema:
+        raise CheckpointError(
+            f"{name}: checkpoint schema does not match the target solver "
+            f"(was the program or a domain size changed?)"
+        )
+    saved_levels: Dict[str, List[int]] = meta.get("levels", {})
+    current_levels = _levels_of(solver)
+    if set(saved_levels) != set(current_levels):
+        raise CheckpointError(
+            f"{name}: checkpoint physical domains "
+            f"{sorted(saved_levels)} do not match solver domains "
+            f"{sorted(current_levels)}"
+        )
+
+    try:
+        if saved_levels == current_levels:
+            roots = _rebuild(solver.manager, payload, digest, name)
+        else:
+            # Different variable order: stage in a scratch manager, then
+            # rebuild under the target's levels (order-correcting ite).
+            scratch = create_kernel(
+                num_vars=int(meta.get("num_vars", solver.manager.num_vars)),
+                backend=solver.manager.backend_name,
+            )
+            staged = _rebuild(scratch, payload, digest, name)
+            level_map: Dict[int, int] = {}
+            for dom_name, old in saved_levels.items():
+                new = current_levels[dom_name]
+                if len(old) != len(new):
+                    raise CheckpointError(
+                        f"{name}: domain {dom_name} changed width "
+                        f"({len(old)} -> {len(new)} bits)"
+                    )
+                for o, n in zip(old, new):
+                    level_map[o] = n
+            roots = rebuild_with_levels(
+                scratch, staged, level_map, solver.manager
+            )
+    except BDDError as err:
+        raise CheckpointError(f"corrupt checkpoint payload: {err}")
+
+    for entry, node in zip(schema, roots):
+        solver.relations[entry["name"]].set_node(node)
+    next_stratum = int(meta.get("next_stratum", 0))
+    return CheckpointMeta(
+        path=name,
+        next_stratum=next_stratum,
+        order_spec=meta.get("order_spec"),
+        meta=meta,
+    )
 
 
 def _rebuild(manager, payload: List[str], digest: str, target: str) -> List[int]:
@@ -306,60 +351,3 @@ def _rebuild(manager, payload: List[str], digest: str, target: str) -> List[int]
         # The loader's "file uses N variables" diagnostic.
         return parse_bdd_records(manager, payload, target, 5)
     return import_decoded(manager, decoded)
-
-
-def _load_parsed(
-    solver, meta: Dict[str, Any], payload: List[str], digest: str, target: str
-) -> CheckpointMeta:
-    schema = _schema_of(solver)
-    if meta.get("relations") != schema:
-        raise CheckpointError(
-            f"{target}: checkpoint schema does not match the target solver "
-            f"(was the program or a domain size changed?)"
-        )
-
-    saved_levels: Dict[str, List[int]] = meta.get("levels", {})
-    current_levels = _levels_of(solver)
-    if set(saved_levels) != set(current_levels):
-        raise CheckpointError(
-            f"{target}: checkpoint physical domains "
-            f"{sorted(saved_levels)} do not match solver domains "
-            f"{sorted(current_levels)}"
-        )
-
-    try:
-        if saved_levels == current_levels:
-            roots = _rebuild(solver.manager, payload, digest, target)
-        else:
-            # Different variable order: stage in a scratch manager, then
-            # rebuild under the target's levels (order-correcting ite).
-            scratch = create_kernel(
-                num_vars=int(meta.get("num_vars", solver.manager.num_vars)),
-                backend=solver.manager.backend_name,
-            )
-            staged = _rebuild(scratch, payload, digest, target)
-            level_map: Dict[int, int] = {}
-            for dom_name, old in saved_levels.items():
-                new = current_levels[dom_name]
-                if len(old) != len(new):
-                    raise CheckpointError(
-                        f"{target}: domain {dom_name} changed width "
-                        f"({len(old)} -> {len(new)} bits)"
-                    )
-                for o, n in zip(old, new):
-                    level_map[o] = n
-            roots = rebuild_with_levels(
-                scratch, staged, level_map, solver.manager
-            )
-    except BDDError as err:
-        raise CheckpointError(f"corrupt checkpoint payload: {err}")
-
-    for entry, node in zip(schema, roots):
-        solver.relations[entry["name"]].set_node(node)
-    next_stratum = int(meta.get("next_stratum", 0))
-    return CheckpointMeta(
-        path=str(target),
-        next_stratum=next_stratum,
-        order_spec=meta.get("order_spec"),
-        meta=meta,
-    )

@@ -53,8 +53,11 @@ __all__ = [
     "Supervisor",
     "SupervisorConfig",
     "SupervisedResult",
+    "backoff_delay",
+    "child_env",
     "classify_exit",
     "ladder_fallbacks",
+    "write_crash_report",
 ]
 
 CRASH_DIR_VAR = "REPRO_CRASH_DIR"
@@ -62,6 +65,51 @@ CRASH_DIR_VAR = "REPRO_CRASH_DIR"
 # Exit statuses that still carried a well-formed protocol message are
 # "soft" failures (the job failed, the worker did not).
 _STDERR_TAIL = 4096
+
+# itertools.count is effectively atomic under the GIL, so threads and
+# supervisors sharing a process get unique crash-report names.
+_crash_seq = itertools.count(1)
+
+
+def backoff_delay(
+    retry: int,
+    base: float,
+    factor: float,
+    cap: float,
+    jitter: float,
+    rng: random.Random,
+) -> float:
+    """The one restart policy (job retries, serve restarts, client
+    reconnects): ``min(cap, base * factor**(retry-1))`` before retry
+    ``retry`` (1-based), stretched by up to ``jitter`` of itself."""
+    delay = min(cap, base * factor ** (retry - 1))
+    return delay * (1.0 + jitter * rng.random())
+
+
+def child_env(attempt: int, *overlays: Optional[Dict[str, str]]) -> Dict[str, str]:
+    """A supervised child's environment: this process's, then each
+    overlay, then ``REPRO_SUPERVISOR_ATTEMPT`` so fault injection can be
+    attempt-scoped."""
+    env = dict(os.environ)
+    for overlay in overlays:
+        env.update(overlay or {})
+    env[ATTEMPT_VAR] = str(attempt)
+    return env
+
+
+def write_crash_report(crash_dir: Optional[str], report: Dict[str, Any]) -> None:
+    """Write one crash report (JSON) into ``crash_dir``, else
+    ``$REPRO_CRASH_DIR``; a no-op when neither is set."""
+    crash_dir = crash_dir or os.environ.get(CRASH_DIR_VAR)
+    if not crash_dir:
+        return
+    seq = next(_crash_seq)
+    path = pathlib.Path(crash_dir) / f"crash-{os.getpid()}-{seq:03d}.json"
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    except OSError:  # pragma: no cover - diagnostics must never fail a run
+        pass
 
 
 @dataclass
@@ -71,9 +119,8 @@ class SupervisorConfig:
     ``timeout`` is the hard per-attempt wall-clock deadline; ``grace`` is
     how long a SIGTERM'd worker gets to die before SIGKILL.  ``retries``
     is the number of *additional* attempts per job step (so a job runs at
-    most ``retries + 1`` times before the next fallback).  Backoff before
-    retry ``n`` (1-based) is ``min(backoff_max, backoff_base *
-    backoff_factor**(n-1))`` stretched by up to ``jitter`` fraction.
+    most ``retries + 1`` times before the next fallback), each after a
+    :func:`backoff_delay` sleep.
     """
 
     timeout: Optional[float] = None
@@ -211,20 +258,10 @@ class Supervisor:
         self._sleep = sleep
         self._monotonic = monotonic
         self._rng = rng if rng is not None else random.Random()
-        # itertools.count is effectively atomic under the GIL, so pool
-        # threads sharing one supervisor get unique crash-report names.
-        self._crash_seq = itertools.count(1)
 
     # ------------------------------------------------------------------
     # One attempt
     # ------------------------------------------------------------------
-
-    def _child_env(self, job: Dict[str, Any], attempt: int) -> Dict[str, str]:
-        env = dict(os.environ)
-        env.update(self.config.env)
-        env.update(job.get("env") or {})
-        env[ATTEMPT_VAR] = str(attempt)
-        return env
 
     def run_attempt(self, job: Dict[str, Any], attempt: int = 0) -> AttemptRecord:
         """Launch one worker child for ``job`` and classify how it ended.
@@ -250,7 +287,7 @@ class Supervisor:
             stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
-            env=self._child_env(job, attempt),
+            env=child_env(attempt, cfg.env, job.get("env")),
         )
         stdin_data = (json.dumps(payload) + "\n").encode()
         killed = False
@@ -298,13 +335,6 @@ class Supervisor:
     # The retry / step-down loop
     # ------------------------------------------------------------------
 
-    def _backoff(self, retry: int) -> float:
-        cfg = self.config
-        delay = min(
-            cfg.backoff_max, cfg.backoff_base * cfg.backoff_factor ** (retry - 1)
-        )
-        return delay * (1.0 + cfg.jitter * self._rng.random())
-
     def run(
         self,
         job: Dict[str, Any],
@@ -340,10 +370,15 @@ class Supervisor:
                         attempts=attempts,
                         wall_seconds=self._monotonic() - start,
                     )
-                self._report_crash(step, record)
-                more = retry < cfg.retries or step_index < len(steps) - 1
-                if more and retry < cfg.retries:
-                    record.backoff = self._backoff(retry + 1)
+                write_crash_report(cfg.crash_dir, {
+                    "job": {k: v for k, v in step.items() if k != "env"},
+                    "attempt": record.to_dict(),
+                })
+                if retry < cfg.retries:
+                    record.backoff = backoff_delay(
+                        retry + 1, cfg.backoff_base, cfg.backoff_factor,
+                        cfg.backoff_max, cfg.jitter, self._rng,
+                    )
                     self._sleep(record.backoff)
         last = attempts[-1]
         cls = WorkerKilled if last.classification == "hang" else WorkerCrashed
@@ -356,27 +391,6 @@ class Supervisor:
             term_signal=last.term_signal,
             attempts=[a.to_dict() for a in attempts],
         )
-
-    # ------------------------------------------------------------------
-    # Crash reports
-    # ------------------------------------------------------------------
-
-    def _report_crash(self, job: Dict[str, Any], record: AttemptRecord) -> None:
-        """Write a per-attempt crash report (JSON) for post-mortems/CI."""
-        crash_dir = self.config.crash_dir or os.environ.get(CRASH_DIR_VAR)
-        if not crash_dir:
-            return
-        seq = next(self._crash_seq)
-        path = pathlib.Path(crash_dir) / f"crash-{os.getpid()}-{seq:03d}.json"
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            report = {
-                "job": {k: v for k, v in job.items() if k != "env"},
-                "attempt": record.to_dict(),
-            }
-            path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-        except OSError:  # pragma: no cover - diagnostics must never fail a run
-            pass
 
 
 def _last_protocol_line(out: bytes) -> Optional[Dict[str, Any]]:

@@ -45,6 +45,7 @@ import socket
 import time
 from typing import Any, Callable, Dict, List, Optional
 
+from ..runtime.supervisor import backoff_delay
 from .engine import QueryError
 from .protocol import MAX_LINE_BYTES, LineReader, encode
 
@@ -336,13 +337,6 @@ class ResilientClient:
             self._client.close()
             self._client = None
 
-    def _backoff(self, attempt: int) -> float:
-        base = min(
-            self.backoff_max,
-            self.backoff_base * (self.backoff_factor ** (attempt - 1)),
-        )
-        return base * (1.0 + self.jitter * self._rng.random())
-
     # ------------------------------------------------------------------
 
     def call(self, obj: Dict[str, Any]) -> Any:
@@ -360,7 +354,10 @@ class ResilientClient:
                 last = err
                 if attempt < self.max_retries:
                     self.retries += 1
-                    self._sleep(self._backoff(attempt + 1))
+                    self._sleep(backoff_delay(
+                        attempt + 1, self.backoff_base, self.backoff_factor,
+                        self.backoff_max, self.jitter, self._rng,
+                    ))
                     continue
                 raise
             self.breaker.record_success()

@@ -39,7 +39,6 @@ the job supervisor, so restart schedules are testable without sleeping.
 from __future__ import annotations
 
 import os
-import pathlib
 import random
 import re
 import signal
@@ -50,8 +49,12 @@ import time
 from typing import Callable, Dict, List, Optional, TextIO
 
 from ..runtime.errors import WorkerCrashed
-from ..runtime.faults import ATTEMPT_VAR
-from ..runtime.supervisor import CRASH_DIR_VAR, classify_exit
+from ..runtime.supervisor import (
+    backoff_delay,
+    child_env,
+    classify_exit,
+    write_crash_report,
+)
 
 __all__ = ["ServeSupervisor"]
 
@@ -115,7 +118,6 @@ class ServeSupervisor:
         self.ready = threading.Event()
         self.restarts = 0
         self.attempt = 0
-        self._crash_seq = 0
         self._proc: Optional[subprocess.Popen] = None
         self._stop = threading.Event()
 
@@ -163,18 +165,11 @@ class ServeSupervisor:
     # Child lifecycle
     # ------------------------------------------------------------------
 
-    def _child_env(self) -> Dict[str, str]:
-        env = dict(os.environ)
-        if self.env is not None:
-            env.update(self.env)
-        env[ATTEMPT_VAR] = str(self.attempt)
-        return env
-
     def _spawn(self) -> subprocess.Popen:
         proc = subprocess.Popen(
             self.argv,
             stderr=subprocess.PIPE,
-            env=self._child_env(),
+            env=child_env(self.attempt, self.env),
         )
         threading.Thread(
             target=self._pump_stderr,
@@ -234,13 +229,6 @@ class ServeSupervisor:
     # The restart loop
     # ------------------------------------------------------------------
 
-    def _backoff(self, restart: int) -> float:
-        delay = min(
-            self.backoff_max,
-            self.backoff_base * self.backoff_factor ** (restart - 1),
-        )
-        return delay * (1.0 + self.jitter * self._rng.random())
-
     def run(self) -> int:
         """Supervise until the child exits cleanly (returns 0) or the
         restart budget is exhausted (raises :class:`WorkerCrashed`)."""
@@ -273,7 +261,20 @@ class ServeSupervisor:
                 f"supervisor: serve child died after {uptime:.1f}s: "
                 f"{classification} ({message})"
             )
-            self._report_crash(classification, message, returncode, uptime)
+            write_crash_report(self.crash_dir, {
+                "job": {"serve": self.argv},
+                "attempt": {
+                    "attempt": self.attempt,
+                    "classification": classification,
+                    "message": message,
+                    "exit_code": returncode,
+                    "uptime_s": round(uptime, 3),
+                    "db_id": self.db_id,
+                    "address": (
+                        f"{self.host}:{self.port}" if self.port else None
+                    ),
+                },
+            })
             if uptime >= self.stable_after:
                 self.restarts = 0
             self.restarts += 1
@@ -287,47 +288,9 @@ class ServeSupervisor:
                     exit_code=returncode,
                     term_signal=term_signal,
                 )
-            delay = self._backoff(self.restarts)
+            delay = backoff_delay(
+                self.restarts, self.backoff_base, self.backoff_factor,
+                self.backoff_max, self.jitter, self._rng,
+            )
             self._print(f"supervisor: restarting in {delay:.2f}s")
             self._sleep(delay)
-
-    # ------------------------------------------------------------------
-    # Crash reports
-    # ------------------------------------------------------------------
-
-    def _report_crash(
-        self,
-        classification: str,
-        message: str,
-        returncode: int,
-        uptime: float,
-    ) -> None:
-        crash_dir = self.crash_dir or os.environ.get(CRASH_DIR_VAR)
-        if not crash_dir:
-            return
-        self._crash_seq += 1
-        path = (
-            pathlib.Path(crash_dir)
-            / f"crash-{os.getpid()}-{self._crash_seq:03d}.json"
-        )
-        try:
-            import json
-
-            path.parent.mkdir(parents=True, exist_ok=True)
-            report = {
-                "job": {"serve": self.argv},
-                "attempt": {
-                    "attempt": self.attempt,
-                    "classification": classification,
-                    "message": message,
-                    "exit_code": returncode,
-                    "uptime_s": round(uptime, 3),
-                    "db_id": self.db_id,
-                    "address": (
-                        f"{self.host}:{self.port}" if self.port else None
-                    ),
-                },
-            }
-            path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-        except OSError:  # pragma: no cover - diagnostics must never fail a run
-            pass

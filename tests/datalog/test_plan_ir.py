@@ -1,5 +1,7 @@
 """Tests for the plan IR, the optimizer pass pipeline, and the executor."""
 
+import re
+
 import pytest
 
 from repro.datalog import (
@@ -234,14 +236,13 @@ class TestExecutor:
 
     def test_traces_recorded(self):
         solver = solve_tc(trace_ops=True)
-        # Traces live on the solver, keyed by the id of a shared plan.
-        plans = {id(plan) for plan in solver.plan_unit.plans.values()}
-        assert solver._traces
-        for plan_id, traces in solver._traces.items():
-            assert plan_id in plans
-            for trace in traces:
-                count, seconds, max_nodes = trace
-                assert count >= 0 and seconds >= 0 and max_nodes >= 0
+        # Every annotation sits on an op of a plan of the shared unit.
+        text = solver.explain_plans()
+        notes = re.findall(r"\[x(\d+)  ([\d.]+)s  (\d+) nodes\]", text)
+        assert notes
+        for count, seconds, max_nodes in notes:
+            assert int(count) > 0 and float(seconds) >= 0
+            assert int(max_nodes) >= 0
 
 
 class TestExplainPlan:

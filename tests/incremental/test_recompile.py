@@ -19,6 +19,7 @@ from repro.incremental import (
     recompile_database,
     write_fixpoint_bundle,
 )
+from repro.runtime import CheckpointError
 from repro.serve import compile_database
 
 
@@ -199,6 +200,26 @@ class TestFixpointBundle:
 
     def test_bundle_path_for(self):
         assert str(bundle_path_for("/x/app.ptdb")).endswith("app.ptdb.fix")
+
+    def test_edited_section_meta_is_refused(
+        self, baseline_db, bundle_path, factset, tmp_path
+    ):
+        """A valid-JSON edit of a section's ``next_stratum`` fails that
+        section's digest instead of resuming at the wrong stratum."""
+        lines = bundle_path.read_text().splitlines()
+        at = next(i for i, l in enumerate(lines) if l.startswith("section ci "))
+        assert '"next_stratum":0' in lines[at + 2]
+        lines[at + 2] = lines[at + 2].replace(
+            '"next_stratum":0', '"next_stratum":1'
+        )
+        bad = tmp_path / "edited.fix"
+        bad.write_text("\n".join(lines) + "\n")
+        doc = {"add": {"vP0": [list(_new_vp0_pair(factset))]}}
+        with pytest.raises(FixpointError, match="checksum mismatch") as err:
+            recompile_database(
+                baseline_db, FactDiff.parse(doc), fixpoint_path=bad
+            )
+        assert isinstance(err.value.__context__, CheckpointError)
 
     def test_bundle_with_retired_meta_keys_still_warms(
         self, baseline_db, bundle_path, factset, tmp_path

@@ -12,6 +12,7 @@ from repro.runtime import (
     CheckpointError,
     IterationLimitExceeded,
     ResourceBudget,
+    checkpoint,
     load_checkpoint,
     save_checkpoint,
 )
@@ -166,9 +167,20 @@ class TestCorruption:
                 break
         payload = "\n".join(lines[payload_at:])
         digest = hashlib.sha256(payload.encode()).hexdigest()
-        lines[2] = f"sha256 {digest}"
+        lines[2] = f"sha256 {checkpoint._record_digest(lines[1], digest)}"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(CheckpointError, match="unknown child"):
+            load_checkpoint(build(), path)
+
+    def test_edited_next_stratum_fails_checksum(self, tmp_path):
+        # Valid JSON, so only the digest over the meta line can catch it;
+        # resuming at stratum 9 would skip strata never at fixpoint.
+        path = self.make(tmp_path)
+        lines = path.read_text().splitlines()
+        assert '"next_stratum":0' in lines[1]
+        lines[1] = lines[1].replace('"next_stratum":0', '"next_stratum":9')
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CheckpointError, match="checksum mismatch"):
             load_checkpoint(build(), path)
 
 
@@ -297,14 +309,17 @@ class TestVersionStamp:
         with pytest.raises(InvalidInputError, match="99.0.0"):
             load_checkpoint(build(), bad)
 
-    def test_unstamped_legacy_file_still_loads(self, tmp_path):
-        legacy = self._tamper(
-            self._saved(tmp_path), tmp_path, format_version=None, tool=None
-        )
-        solver = build()
-        load_checkpoint(solver, legacy)
-        reference = build()
-        reference.solve()
-        assert set(solver.relation("path").tuples()) == set(
-            reference.relation("path").tuples()
-        )
+    def test_unstamped_legacy_file_is_refused(self, tmp_path):
+        # Files stamped before version 3, or not at all, carry a digest
+        # over the payload alone: refused by version, not as corrupt.
+        from repro.runtime import InvalidInputError
+        from repro.runtime.checkpoint import FORMAT_VERSION
+
+        for stamp in (None, FORMAT_VERSION - 1):
+            legacy = self._tamper(
+                self._saved(tmp_path), tmp_path, format_version=stamp, tool=None
+            )
+            with pytest.raises(
+                InvalidInputError, match=f"format_version {stamp!r}"
+            ):
+                load_checkpoint(build(), legacy)

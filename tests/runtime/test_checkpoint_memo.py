@@ -140,7 +140,7 @@ def test_corruption_after_a_hit_still_raises(tmp_path):
     dangling = list(good)
     dangling[node] = " ".join(dangling[node].split(" ")[:3] + ["999", "1"])
     digest = hashlib.sha256("\n".join(dangling[4:]).encode()).hexdigest()
-    dangling[2] = f"sha256 {digest}"
+    dangling[2] = f"sha256 {checkpoint._record_digest(dangling[1], digest)}"
     assert "unknown child" in corrupt_and_hit(dangling)
 
 
@@ -189,7 +189,8 @@ def test_the_memo_is_bounded_first_in_first_out():
     digests = []
     for seed in range(checkpoint._MEMO_SIZE + 3):
         lines, _ = checkpoint_lines(build(seed=seed, solved=True))
-        digests.append(lines[2].split(" ")[1])
+        payload = "\n".join(lines[4:])
+        digests.append(hashlib.sha256(payload.encode()).hexdigest())
         load_checkpoint_lines(build(seed=seed), lines, "<memory>")
         assert len(checkpoint._decoded) <= checkpoint._MEMO_SIZE
     assert list(checkpoint._decoded) == digests[-checkpoint._MEMO_SIZE:]
