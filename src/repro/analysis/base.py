@@ -58,7 +58,7 @@ def make_solver(
     source: str,
     size_overrides: Optional[Dict[str, int]] = None,
     order_spec: Optional[str] = None,
-    naive: bool = False,
+    seminaive: bool = False,
     budget: Optional[ResourceBudget] = None,
     backend: Optional[str] = None,
     optimize: Optional[bool] = None,
@@ -98,7 +98,7 @@ def make_solver(
         program,
         order_spec=order_spec,
         name_maps=name_maps,
-        naive=naive,
+        seminaive=seminaive,
         budget=budget,
         backend=backend,
         optimize=optimize,

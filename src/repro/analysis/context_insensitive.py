@@ -126,7 +126,7 @@ class ContextInsensitiveAnalysis:
         discover_call_graph: bool = True,
         call_graph: Optional[CallGraph] = None,
         order_spec: Optional[str] = None,
-        naive: bool = False,
+        seminaive: bool = False,
         query_fragments: Sequence[str] = (),
         budget=None,
         backend: Optional[str] = None,
@@ -142,7 +142,7 @@ class ContextInsensitiveAnalysis:
         self.discover_call_graph = discover_call_graph
         self.call_graph = call_graph
         self.order_spec = order_spec
-        self.naive = naive
+        self.seminaive = seminaive
         self.query_fragments = tuple(query_fragments)
         self.budget = budget
         self.backend = backend
@@ -161,7 +161,7 @@ class ContextInsensitiveAnalysis:
             self.facts,
             source,
             order_spec=self.order_spec,
-            naive=self.naive,
+            seminaive=self.seminaive,
             budget=self.budget,
             backend=self.backend,
             optimize=self.optimize,

@@ -36,6 +36,7 @@ from ..ir.facts import Facts, extract_facts, facts_digest
 from ..ir.program import Program
 from ..runtime import (
     Attempt,
+    CheckpointError,
     DegradationReport,
     NodeBudgetExceeded,
     ReproError,
@@ -305,9 +306,15 @@ class ContextSensitiveAnalysis:
         solver = self._build_solver(numbering, graph, budget, resume=resume)
         start_stratum = 0
         if resume:
-            start_stratum = load_checkpoint_lines(
-                solver, saved[1], str(checkpoint)
-            ).next_stratum
+            try:
+                start_stratum = load_checkpoint_lines(
+                    solver, saved[1], str(checkpoint)
+                ).next_stratum
+            except CheckpointError:
+                # A corrupt digest or payload names no program either:
+                # solve fresh, and leave the file for a fault to replace.
+                resume = False
+                solver = self._build_solver(numbering, graph, budget)
             del saved
         try:
             solver.solve(start_stratum=start_stratum)

@@ -9,10 +9,13 @@ Two artifacts, both under ``results/``:
   and static op counts.  Nothing here is timed: speed is measured end
   to end by ``perfbench/run.py`` alone.
 * ``PLAN_COUNTS.json`` — the committed baseline of op counts under the
-  default (optimized) configuration.  ``--check`` recomputes the counts
-  and fails if any entry executes *more* ``replace`` or ``rel_prod`` ops
-  than the baseline records (a plan regression), or if any program's
-  static per-kind op counts differ from the baseline (a plan changed).
+  default (optimized) configuration, with each solve's kernel
+  ``op_count`` and peak nodes.  ``--check`` recomputes the counts and
+  fails if any entry executes *more* ``replace`` or ``rel_prod`` ops,
+  spends more kernel ops or reaches more peak nodes than the baseline
+  records (a plan, kernel-work or memory regression), or if any
+  program's static per-kind op counts differ from the baseline (a plan
+  changed).
 
 Usage::
 
@@ -80,8 +83,18 @@ def solve_entry(
         "executed": executed,
         "executed_total": sum(executed.values()),
         "static": dict(sorted(solver.plan_op_counts().items())),
+        "kernel": kernel_counts(solver),
         "tuples_vP": solver.relation("vP").count(),
         "iterations": solver.stats.iterations,
+    }
+
+
+def kernel_counts(solver) -> Dict[str, int]:
+    """The kernel work of one solve: its manager's ``op_count`` (every
+    cache-missing expansion, setup included) and peak nodes."""
+    return {
+        "op_count": solver.manager.op_count,
+        "peak_nodes": solver.manager.peak_nodes,
     }
 
 
@@ -253,15 +266,17 @@ def program_counts(
     names: Sequence[str] = PROGRAM_ENTRIES, backend: Optional[str] = None
 ) -> Dict[str, Any]:
     """The ``programs`` section of the baseline: per program, its static
-    per-kind op counts and its executed counts on each entry."""
+    per-kind op counts, and its executed counts and kernel work on each
+    entry."""
     out: Dict[str, Any] = {}
     for name, label, solver in _program_runs(names, backend):
         record = out.setdefault(
             label,
             {"static_opt": dict(sorted(solver.plan_op_counts().items())),
-             "executed": {}},
+             "executed": {}, "kernel": {}},
         )
         record["executed"][name] = dict(sorted(solver.stats.plan_ops.items()))
+        record["kernel"][name] = kernel_counts(solver)
     return out
 
 
@@ -278,6 +293,7 @@ def plan_counts_payload(
                 "opt": e["configs"]["opt"]["executed"],
                 "noopt": e["configs"]["noopt"]["executed"],
                 "static_opt": e["configs"]["opt"]["static"],
+                "kernel": e["configs"]["opt"]["kernel"],
             }
             for e in bench["entries"]
         },
@@ -289,12 +305,14 @@ def _compare_counts(
     where: str,
     executed: Dict[str, int],
     static: Dict[str, int],
+    kernel: Dict[str, int],
     want_executed: Dict[str, int],
     want_static: Dict[str, int],
+    want_kernel: Dict[str, int],
 ) -> List[str]:
     """Regressions of one solve against its baseline record: more
-    executed ``replace``/``rel_prod`` ops, or any change in the static
-    per-kind op counts."""
+    executed ``replace``/``rel_prod`` ops, more kernel ops or peak
+    nodes, or any change in the static per-kind op counts."""
     problems: List[str] = []
     for kind in ("replace", "rel_prod"):
         got = executed.get(kind, 0)
@@ -302,6 +320,12 @@ def _compare_counts(
         if got > want:
             problems.append(
                 f"{where}: executed {kind} count regressed {want} -> {got}"
+            )
+    for key in ("op_count", "peak_nodes"):
+        if kernel[key] > want_kernel[key]:
+            problems.append(
+                f"{where}: kernel {key} regressed {want_kernel[key]} "
+                f"-> {kernel[key]}"
             )
     changed = [
         f"{kind} {want_static.get(kind, 0)} -> {static.get(kind, 0)}"
@@ -327,8 +351,8 @@ def check_plan_counts(
     for name, expected in sorted(baseline["entries"].items()):
         current = solve_entry(name, optimize=True, backend=backend)
         problems += _compare_counts(
-            name, current["executed"], current["static"],
-            expected["opt"], expected["static_opt"],
+            name, current["executed"], current["static"], current["kernel"],
+            expected["opt"], expected["static_opt"], expected["kernel"],
         )
         if verbose:
             got = current["executed"].get("replace", 0)
@@ -351,7 +375,8 @@ def check_plan_counts(
         executed = dict(solver.stats.plan_ops)
         problems += _compare_counts(
             f"{label} on {name}", executed, solver.plan_op_counts(),
-            expected["executed"][name], expected["static_opt"],
+            kernel_counts(solver), expected["executed"][name],
+            expected["static_opt"], expected["kernel"][name],
         )
         if verbose:
             print(
@@ -378,7 +403,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--check", metavar="BASELINE.json", nargs="?",
         const="results/PLAN_COUNTS.json",
         help="regression mode: recompute executed op counts and fail if "
-        "any entry's replace count exceeds the baseline",
+        "any entry's replace, rel_prod or kernel op count or its peak "
+        "nodes exceed the baseline",
     )
     args = parser.parse_args(argv)
 

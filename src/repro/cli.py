@@ -642,7 +642,7 @@ def _cmd_datalog(args) -> int:
     except DatalogError as err:
         raise DatalogError(f"{args.program}: {err}") from err
     solver = Solver(
-        program, naive=args.naive, budget=_budget_of(args),
+        program, seminaive=args.seminaive, budget=_budget_of(args),
         backend=args.backend, optimize=_optimize(args),
         trace_ops=args.explain_plan,
     )
@@ -987,11 +987,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="override a domain size (repeatable)",
     )
     p_datalog.add_argument(
-        "--naive", action="store_true", help="disable semi-naive evaluation"
+        "--seminaive", action="store_true",
+        help="run fresh strata semi-naively (delta variants) throughout "
+        "instead of starting with whole-rule plans",
     )
     p_datalog.add_argument(
         "--explain-plan", action="store_true",
-        help="print the optimized plans with per-op execution costs",
+        help="print the optimized plans the solve ran (whole-rule plans, "
+        "and the delta variants of a stratum that went on semi-naively) "
+        "with per-op execution costs",
     )
     budget_flags(p_datalog)
     plan_flags(p_datalog)

@@ -5,8 +5,9 @@ Deductive DataBase) that automatically translates Datalog programs into BDD
 algorithms."  This package is that system, built on :mod:`repro.bdd`:
 
 * :func:`parse_program` — the Datalog dialect of the paper's listings,
-* :class:`Solver` — stratified, semi-naive, incrementalized evaluation with
-  automatic physical-domain assignment and rename minimization,
+* :class:`Solver` — stratified evaluation (naive first for fresh
+  strata, semi-naive for seeded deltas and long tails) with automatic
+  physical-domain assignment and rename minimization,
 * :class:`Relation` — attributed BDD relations with tuple-level access.
 
 Typical use::

@@ -12,7 +12,8 @@ This module is the IR those rewrites operate on:
   op defines, and operand fields hold register numbers of earlier ops;
 * every op carries its **attribute schema**: the tuple of physical
   domain references ``(logical, instance)`` its value ranges over;
-* :class:`RulePlan` is one compiled (rule, semi-naive variant) pair;
+* :class:`RulePlan` is one compiled (rule, variant) pair, the variant
+  being the whole rule (``full``) or one semi-naive delta atom;
 * :class:`PlanUnit` is a whole program's worth of plans plus the shared
   state the optimizer introduces (hoisted loop-invariant slots, pass
   provenance);
@@ -290,7 +291,7 @@ class CopyInto(Op):
 
 @dataclass
 class RulePlan:
-    """A compiled (rule, semi-naive variant) pair as a linear op program.
+    """A compiled (rule, variant) pair as a linear op program.
 
     The last op is always the :class:`CopyInto` terminator.  ``source``
     records provenance: ``"greedy"`` for the compiler's local heuristics,
@@ -312,10 +313,10 @@ class RulePlan:
 
     @property
     def variant(self) -> str:
-        """``"once"`` for the whole rule, ``"delta=atomN"`` for the
+        """``"full"`` for the whole rule, ``"delta=atomN"`` for the
         variant reading positive atom N as a delta."""
         if self.delta_index is None:
-            return "once"
+            return "full"
         return f"delta=atom{self.delta_index}"
 
     def phys_refs(self) -> Set[PhysRef]:
@@ -596,15 +597,15 @@ def format_plan(
 def format_unit(
     unit: PlanUnit,
     strata,
-    executed_only: bool = False,
+    executed: Optional[Set[int]] = None,
     traces: Optional[Dict[int, Sequence[Sequence[float]]]] = None,
 ) -> str:
     """Render a whole unit: per-stratum preamble slots, then plans.
 
-    ``executed_only`` limits recursive strata to their delta variants
-    (the plans semi-naive evaluation actually runs) — with it off every
-    compiled variant is shown.  ``traces`` maps ``id(plan)`` to a
-    solver's execution traces for that plan.
+    ``executed`` (ids of plans a solver ran) limits recursive rules to
+    those plans — without it every compiled variant is shown.
+    ``traces`` maps ``id(plan)`` to a solver's execution traces for that
+    plan.
     """
     traces = traces or {}
     rule_index = {id(rule): i for i, rule in enumerate(unit.program.rules)}
@@ -632,17 +633,15 @@ def format_unit(
             n_pos = len(rule.positive_atoms)
             if id(rule) not in recursive:
                 variants: List[Optional[int]] = [None]
-            elif executed_only:
-                variants = [
-                    i
-                    for i, atom in enumerate(rule.positive_atoms)
-                    if atom.relation in stratum.predicates
-                ]
             else:
                 variants = [None] + list(range(n_pos))
             for variant in variants:
                 plan = unit.plans.get((ridx, variant))
                 if plan is None:
+                    continue
+                if executed is not None and id(rule) in recursive and (
+                    id(plan) not in executed
+                ):
                     continue
                 for line in format_plan(plan, traces=traces.get(id(plan))):
                     lines.append("  " + line)

@@ -1,14 +1,21 @@
-"""Semi-naive BDD-based Datalog solver (the bddbddb engine, Section 2.4).
+"""BDD-based Datalog solver (the bddbddb engine, Section 2.4).
 
 The solver owns the BDD manager, the pool of physical finite domains, and
 one :class:`~repro.datalog.relation.Relation` per declared predicate.  It
-evaluates the program stratum by stratum; within a recursive stratum it
-runs *incrementalized* (semi-naive) fixpoint iteration: each rule is
-compiled into one plan per choice of "delta atom", and only tuples that are
-new since the previous iteration flow through the rule bodies.  Rules whose
-body does not mention the stratum's predicates are applied exactly once
-("rule application order" optimization).  A ``naive=True`` switch disables
-incrementalization for the ablation benchmark.
+evaluates the program stratum by stratum.  Rules whose body does not
+mention the stratum's predicates are applied exactly once ("rule
+application order" optimization).  A recursive stratum solved from its
+current state iterates its whole-rule plans (*naive* evaluation): each
+iteration re-joins the same full relations, so the BDD operation cache
+returns every sub-join that did not change.  Seeded deltas — the added
+tuples of an edit, a demand call's new seeds — run *incrementalized*
+(semi-naive) iteration, where each rule has one plan per choice of
+"delta atom" and only tuples new since the previous iteration flow
+through the rule bodies.  A fresh stratum still growing after
+``_NAIVE_ITERATIONS`` naive iterations continues the same way, seeded
+with the tuples its last naive iteration added.  A ``seminaive=True``
+switch runs fresh strata semi-naively throughout, seeded with the full
+relations, for the ablation benchmark and the oracle.
 
 One stratum loop (:meth:`Solver._fixpoint`) serves three entry points.
 :meth:`Solver.solve` runs every stratum from its current state;
@@ -64,6 +71,16 @@ from .stratify import Stratum
 __all__ = ["RuleProfile", "Solver", "SolveStats"]
 
 _MAX_ITERATIONS = 100_000
+
+# A fresh stratum runs at most this many naive iterations before the
+# semi-naive loop takes over.  Short fixpoints gain from the op cache
+# reusing unchanged sub-joins (every stratum of a perfbench compile
+# program converges within 8); a long tail adds a few tuples per
+# iteration, and re-joining the full relations for them costs more
+# kernel work and leaves more dead nodes than joining the deltas (pmd's
+# Algorithm 3 runs 80 iterations: +2.3% kernel ops and +36% peak nodes
+# when it stays naive throughout).
+_NAIVE_ITERATIONS = 8
 
 
 @dataclass
@@ -134,7 +151,7 @@ class Solver:
         program: ProgramAST,
         order_spec: Optional[str] = None,
         name_maps: Optional[Dict[str, Sequence[str]]] = None,
-        naive: bool = False,
+        seminaive: bool = False,
         gc_threshold: int = 4_000_000,
         cache_limit: int = 2_000_000,
         budget: Optional[ResourceBudget] = None,
@@ -144,7 +161,7 @@ class Solver:
         trace_ops: bool = False,
     ) -> None:
         self.program = program
-        self.naive = naive
+        self.seminaive = seminaive
         self.budget = budget
         # Resolve the kernel backend once (explicit argument beats the
         # REPRO_BDD_BACKEND environment variable beats the default) so the
@@ -315,8 +332,8 @@ class Solver:
         """Run the program to fixpoint; returns evaluation statistics.
 
         ``start_stratum`` skips strata that are already at fixpoint — used
-        when resuming from a checkpoint (semi-naive evaluation restarts
-        the interrupted stratum with full deltas, which is sound because
+        when resuming from a checkpoint (the interrupted stratum runs
+        again from its checkpointed state, which is sound because
         relations only grow toward the fixpoint).
 
         When a :class:`ResourceBudget` is attached, budget faults surface
@@ -511,18 +528,23 @@ class Solver:
                 shrunk.add(pred)
 
     def _run_stratum(self, stratum: Stratum) -> None:
-        """Evaluate one stratum from its current relation state."""
+        """Evaluate one stratum from its current relation state: naively,
+        or under ``seminaive`` with the full relations as first deltas."""
         recursive = set(map(id, stratum.recursive_rules))
         # Rules with no recursive dependency run exactly once.
         for rule in stratum.rules:
             if id(rule) not in recursive:
                 plan = self._plans[(self._rule_index[id(rule)], None)]
                 self._apply_plan(plan, None)
-        if stratum.recursive_rules:
-            if self.naive:
-                self._solve_stratum_naive(stratum)
-            else:
-                self._solve_stratum_seminaive(stratum)
+        if not stratum.recursive_rules:
+            return
+        if self.seminaive:
+            self._solve_stratum_seminaive(
+                stratum,
+                {p: self.relations[p].node for p in stratum.predicates},
+            )
+        else:
+            self._solve_stratum_naive(stratum)
 
     def _push_deltas(self, stratum: Stratum, pending: Dict[str, int]) -> None:
         """Seed a stratum's semi-naive loop from external deltas.
@@ -563,10 +585,7 @@ class Solver:
                 progressed = True
             deltas[pred] = delta
         if progressed and stratum.recursive_rules:
-            if self.naive:
-                self._solve_stratum_naive(stratum)
-            else:
-                self._solve_stratum_seminaive(stratum, seed_deltas=deltas)
+            self._solve_stratum_seminaive(stratum, deltas)
 
     def _record_manager_stats(self) -> None:
         m = self.manager
@@ -590,25 +609,16 @@ class Solver:
         )
 
     def _solve_stratum_seminaive(
-        self, stratum: Stratum, seed_deltas: Optional[Dict[str, int]] = None
+        self, stratum: Stratum, seeds: Dict[str, int], done: int = 0
     ) -> None:
+        """Iterate the delta variants from ``seeds``, the tuples of each
+        stratum predicate not yet pushed through its rules; ``done``
+        iterations of this stratum already count against the limit."""
         m = self.manager
-        deltas: Dict[str, int] = {}
-        for pred in stratum.predicates:
-            # A fresh solve starts with full relations as deltas; an
-            # incremental continuation (solve_incremental) seeds only the
-            # genuinely new tuples.
-            if seed_deltas is not None:
-                deltas[pred] = seed_deltas.get(pred, FALSE)
-            else:
-                deltas[pred] = self.relations[pred].node
+        deltas = {p: seeds.get(p, FALSE) for p in stratum.predicates}
         limit = self._iteration_limit()
-        for iteration in range(limit):
-            self.stats.iterations += 1
-            if faults.armed:
-                faults.fire("solver.stratum")
-            if self._watchdog is not None:
-                self._watchdog.check()
+        for iteration in range(done, limit):
+            self._begin_iteration()
             contributions: Dict[str, int] = {p: FALSE for p in stratum.predicates}
             for rule in stratum.recursive_rules:
                 ridx = self._rule_index[id(rule)]
@@ -631,34 +641,64 @@ class Solver:
                     progressed = True
             if not progressed:
                 return
-            if self.manager.node_count() >= self.gc_threshold:
-                preds = list(deltas)
-                roots = [deltas[p] for p in preds]
-                self._maybe_gc(extra_roots=roots)
-                deltas = dict(zip(preds, roots))
-            else:
-                # Operation caches dominate memory on long fixpoints; the
-                # lost memoization is recomputed cheaply against the
-                # (small) deltas of later iterations.
-                self.manager.trim_caches()
+            self._end_iteration(deltas)
         raise self._iteration_limit_error(stratum, limit)
 
     def _solve_stratum_naive(self, stratum: Stratum) -> None:
-        """Reference evaluation without incrementalization (ablation)."""
-        limit = self._iteration_limit()
-        for iteration in range(limit):
-            self.stats.iterations += 1
-            if self._watchdog is not None:
-                self._watchdog.check()
+        """Iterate the whole-rule plans until no rule adds a tuple, for at
+        most ``_NAIVE_ITERATIONS``; a stratum still growing then goes on
+        semi-naively from the tuples its last iteration added.  Each
+        application merges into its head at once, so later rules of the
+        same iteration already read the new tuples."""
+        m = self.manager
+        plans = [
+            self._plans[(self._rule_index[id(rule)], None)]
+            for rule in stratum.recursive_rules
+        ]
+        naive = min(self._iteration_limit(), _NAIVE_ITERATIONS)
+        before: Dict[str, int] = {}
+        for iteration in range(naive):
+            if iteration:
+                # No node outside the relations is live between iterations.
+                self._end_iteration()
+            self._begin_iteration()
+            before = {p: self.relations[p].node for p in stratum.predicates}
             progressed = False
-            for rule in stratum.recursive_rules:
-                plan = self._plans[(self._rule_index[id(rule)], None)]
-                delta = self._apply_plan(plan, None)
-                if delta != FALSE:
+            for plan in plans:
+                if self._apply_plan(plan, None) != FALSE:
                     progressed = True
             if not progressed:
                 return
-        raise self._iteration_limit_error(stratum, limit)
+        # Every derivation from the tuples in ``before`` is made, so only
+        # the last iteration's additions must still meet every rule.
+        seeds = {p: m.diff(self.relations[p].node, node)
+                 for p, node in before.items()}
+        self._end_iteration(seeds)
+        self._solve_stratum_seminaive(stratum, seeds, naive)
+
+    def _begin_iteration(self) -> None:
+        """Count one fixpoint iteration and give faults and the watchdog
+        their per-iteration chance to fire (both loops)."""
+        self.stats.iterations += 1
+        if faults.armed:
+            faults.fire("solver.stratum")
+        if self._watchdog is not None:
+            self._watchdog.check()
+
+    def _end_iteration(self, deltas: Optional[Dict[str, int]] = None) -> None:
+        """Between iterations, collect at ``gc_threshold`` (keeping and
+        remapping ``deltas`` in place), else trim the op caches to their
+        cap.  Caches dominate memory on long fixpoints; a trim that clears
+        one costs later iterations the memoization they would have
+        reused."""
+        if self.manager.node_count() < self.gc_threshold:
+            self.manager.trim_caches()
+        elif deltas:
+            roots = list(deltas.values())
+            self._maybe_gc(extra_roots=roots)
+            deltas.update(zip(list(deltas), roots))
+        else:
+            self._maybe_gc()
 
     # ------------------------------------------------------------------
     # Plan execution (the IR interpreter)
@@ -824,9 +864,11 @@ class Solver:
         )
 
     def explain_plans(self, executed_only: bool = False) -> str:
-        """Render the (optimized) plans for ``repro datalog --explain-plan``.
-        Run :meth:`solve` with ``trace_ops=True`` first to get the
-        cost annotations (execution counts, seconds, peak result nodes)."""
+        """Render the (optimized) plans for ``repro datalog --explain-plan``;
+        ``executed_only`` shows, of each recursive rule, the plans this
+        solver ran.  Run :meth:`solve` with ``trace_ops=True`` first to
+        get the cost annotations (execution counts, seconds, peak result
+        nodes)."""
         traces = {
             plan_id: list(zip(r.counts, r.op_seconds, r.op_nodes))
             for plan_id, r in self.stats.records.items()
@@ -835,7 +877,7 @@ class Solver:
         return format_unit(
             self.plan_unit,
             self._strata,
-            executed_only=executed_only,
+            executed=set(self.stats.records) if executed_only else None,
             traces=traces,
         )
 

@@ -270,9 +270,9 @@ class TestInfrastructure:
 
     def test_naive_mode_same_result(self, conflation_program):
         facts = extract_facts(conflation_program)
-        fast = ContextInsensitiveAnalysis(facts=facts).run()
-        slow = ContextInsensitiveAnalysis(facts=facts, naive=True).run()
-        assert fast.relation_tuples("vP") == slow.relation_tuples("vP")
+        naive = ContextInsensitiveAnalysis(facts=facts).run()
+        semi = ContextInsensitiveAnalysis(facts=facts, seminaive=True).run()
+        assert naive.relation_tuples("vP") == semi.relation_tuples("vP")
 
     def test_cs_with_cha_graph(self, conflation_program):
         facts = extract_facts(conflation_program)

@@ -194,7 +194,29 @@ class TestPasses:
             solver.solve()
             return solver.manager.op_count
 
-        assert kernel_ops(["assign-domains"]) > kernel_ops([])
+        def push_ops(disabled):
+            # A fresh solve without every fifth allocation, then an edit
+            # that adds them back: the push runs the delta variants.
+            solver = make_solver(
+                facts, source, optimize=True, disabled_passes=disabled
+            )
+            rel = solver.relation("vP0")
+            full = rel.node
+            tuples = sorted(rel.tuples())
+            held = tuples[::5]
+            solver.set_node("vP0", rel.tuples_node(
+                [t for t in tuples if t not in held]
+            ))
+            solver.solve()
+            fresh = solver.manager.op_count
+            solver.set_node("vP0", full)
+            solver.solve_incremental({"vP0": rel.tuples_node(held)})
+            return solver.manager.op_count - fresh
+
+        # assign-domains pays in the delta variants, which run where
+        # seeded deltas are pushed (edits, later demand calls); a fresh
+        # solve's whole-rule plans get their renames from the op cache.
+        assert push_ops(["assign-domains"]) > push_ops([])
         # Hoisted slots save recomputation only once the op cache has
         # been cleared, so hoist is measured under a tiny cache.
         assert kernel_ops(["hoist"], 500) > kernel_ops([], 500)

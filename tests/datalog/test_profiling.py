@@ -111,7 +111,7 @@ class TestExecutionRecord:
             p for p in solver.rule_profile()
             if p.rule == "path(x, z) :- path(x, y), edge(y, z)."
         ]
-        assert [p.variant for p in recursive] == ["delta=atom0"]
+        assert [p.variant for p in recursive] == ["full"]
         assert recursive[0].kernel_ops > 0
 
     def test_totals_are_derived_from_the_rows(self):

@@ -7,6 +7,8 @@ import pytest
 
 from repro.datalog import DatalogError, Solver, parse_program
 from repro.datalog import solver as solver_module
+from repro.runtime.budget import ResourceBudget
+from repro.runtime.errors import IterationLimitExceeded
 
 
 def solve(text, facts, **kwargs):
@@ -47,18 +49,98 @@ class TestTransitiveClosure:
 
     def test_naive_matches_seminaive(self):
         edges = [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3)]
-        fast = solve(TRANSITIVE_CLOSURE, {"edge": edges})
-        slow = solve(TRANSITIVE_CLOSURE, {"edge": edges}, naive=True)
-        assert set(fast.relation("path").tuples()) == set(
-            slow.relation("path").tuples()
+        naive = solve(TRANSITIVE_CLOSURE, {"edge": edges})
+        semi = solve(TRANSITIVE_CLOSURE, {"edge": edges}, seminaive=True)
+        assert set(naive.relation("path").tuples()) == set(
+            semi.relation("path").tuples()
         )
 
     def test_seminaive_fewer_applications_on_long_chain(self):
         edges = [(i, i + 1) for i in range(20)]
-        fast = solve(TRANSITIVE_CLOSURE, {"edge": edges})
-        slow = solve(TRANSITIVE_CLOSURE, {"edge": edges}, naive=True)
-        assert fast.stats.rule_applications <= slow.stats.rule_applications * 2
-        assert fast.stats.iterations >= 2
+        naive = solve(TRANSITIVE_CLOSURE, {"edge": edges})
+        semi = solve(TRANSITIVE_CLOSURE, {"edge": edges}, seminaive=True)
+        assert semi.stats.rule_applications <= naive.stats.rule_applications * 2
+        assert semi.stats.iterations >= 2
+
+
+class TestLoopSplit:
+    """Fresh strata iterate whole-rule plans; seeded deltas (an edit, a
+    later demand call) run the semi-naive delta variants."""
+
+    @staticmethod
+    def _recursive_variants(solver):
+        return {
+            r.variant for r in solver.rule_profile()
+            if r.rule.startswith("path(x, z)")
+        }
+
+    def test_fresh_solve_runs_full_plans(self):
+        edges = [(i, i + 1) for i in range(6)]
+        solver = solve(TRANSITIVE_CLOSURE, {"edge": edges})
+        assert self._recursive_variants(solver) == {"full"}
+        [record] = [r for r in solver.rule_profile()
+                    if r.rule.startswith("path(x, z)")]
+        assert record.applications > 1 and record.kernel_ops > 0
+        semi = solve(TRANSITIVE_CLOSURE, {"edge": edges}, seminaive=True)
+        assert self._recursive_variants(semi) == {"delta=atom0"}
+
+    def test_long_fresh_stratum_goes_on_semi_naively(self):
+        # On a chain of 20 edges path grows by one hop per iteration, so
+        # the stratum outlasts the naive phase and continues with the
+        # delta variant, seeded with the last naive iteration's tuples.
+        edges = [(i, i + 1) for i in range(20)]
+        solver = solve(TRANSITIVE_CLOSURE, {"edge": edges})
+        records = {
+            r.variant: r for r in solver.rule_profile()
+            if r.rule.startswith("path(x, z)")
+        }
+        assert set(records) == {"full", "delta=atom0"}
+        assert records["full"].applications == solver_module._NAIVE_ITERATIONS
+        semi = solve(TRANSITIVE_CLOSURE, {"edge": edges}, seminaive=True)
+        assert set(solver.relation("path").tuples()) == set(
+            semi.relation("path").tuples()
+        )
+        assert len(set(semi.relation("path").tuples())) == 20 * 21 // 2
+
+    def test_iteration_limit_counts_both_loops(self):
+        edges = [(i, i + 1) for i in range(20)]
+        with pytest.raises(IterationLimitExceeded) as info:
+            solve(
+                TRANSITIVE_CLOSURE, {"edge": edges},
+                budget=ResourceBudget(max_iterations=12),
+            )
+        assert info.value.iterations == 12
+        assert info.value.stats.iterations == 12
+
+    def test_incremental_push_runs_delta_variants(self):
+        solver = solve(TRANSITIVE_CLOSURE, {"edge": [(0, 1), (1, 2)]})
+        edge = solver.relation("edge")
+        added = edge.tuples_node([(2, 3)])
+        solver.set_node("edge", solver.manager.or_(edge.node, added))
+        solver.stats.records.clear()
+        solver.solve_incremental({"edge": added})
+        assert self._recursive_variants(solver) == {
+            "delta=atom0", "delta=atom1"
+        }
+        assert (0, 3) in set(solver.relation("path").tuples())
+
+    def test_second_demand_call_runs_delta_variants(self):
+        text = TRANSITIVE_CLOSURE.replace(
+            "path (src : N0, dst : N1) output",
+            "path (src : N0, dst : N1) output\n"
+            "start (src : N0) input",
+        ).replace(
+            "path(x, y) :- edge(x, y).",
+            "path(x, y) :- start(x), edge(x, y).",
+        )
+        solver = Solver(parse_program(text))
+        solver.add_tuples("edge", [(i, i + 1) for i in range(6)])
+        solver.solve_demand({"start": [(0,)]})
+        assert self._recursive_variants(solver) == {"full"}
+        solver.stats.records.clear()
+        solver.solve_demand({"start": [(3,)]})
+        assert self._recursive_variants(solver) == {"delta=atom0"}
+        assert (3, 6) in set(solver.relation("path").tuples())
 
 
 SAME_GENERATION = """

@@ -28,10 +28,15 @@ combination must reproduce it:
 * shared plans: the same program text with every domain grown builds
   from the plan memo and still reaches its own, larger model.
 
-Half the cases collect garbage on every semi-naive iteration, so every
-node the drivers hold across a stratum must survive a collection.  Half
-cap the operation cache at a few entries, so the kernel clears it in
-the middle of operations and the solver clears it between iterations.
+Half the cases collect garbage on every iteration, naive or
+semi-naive, so every node the drivers hold across a stratum must
+survive a collection.  Half cap the operation cache at a few entries,
+so the kernel clears it in the middle of operations and the solver
+clears it between iterations of either loop.  Fresh strata start naive
+unless a driver asks for ``seminaive``; pushed deltas run semi-naive
+under both.  Two thirds of the cases end the naive phase after one or
+two iterations, so a fresh stratum still growing hands its last naive
+iteration's tuples to the semi-naive loop.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ from hypothesis import given, settings, strategies as st
 from repro.bdd import FALSE
 from repro.datalog import Solver, parse_program
 from repro.datalog.magic import magic_rewrite
+from repro.datalog import solver as solver_module
 from repro.datalog.passes import build_plans
 from repro.runtime import (
     NodeBudgetExceeded,
@@ -214,6 +220,9 @@ def tuples_of(draw, program: Program, rel: str, min_size: int,
     return set(draw(st.lists(elems, min_size=min_size, max_size=max_size)))
 
 
+NAIVE_ITERATIONS = solver_module._NAIVE_ITERATIONS
+
+
 @dataclass
 class Case:
     program: Program
@@ -227,10 +236,12 @@ class Case:
     # budget of n; ("timeout", k) expires its deadline at the k-th
     # watchdog check.
     fault: Tuple[str, int]
-    # Collect garbage on every semi-naive iteration (gc_threshold=1).
+    # Collect garbage on every fixpoint iteration (gc_threshold=1).
     collect: bool = False
     # A tiny operation-cache cap (None: the solver's default).
     cache_limit: Optional[int] = None
+    # Naive iterations a fresh stratum runs before it goes semi-naive.
+    naive_iterations: int = NAIVE_ITERATIONS
 
 
 @st.composite
@@ -269,7 +280,7 @@ def cases(draw) -> Case:
     ))
     cache_limit = draw(st.one_of(st.none(), st.integers(0, 16)))
     return Case(program, facts, edits, goals, fault, draw(st.booleans()),
-                cache_limit)
+                cache_limit, draw(st.sampled_from((1, 2, NAIVE_ITERATIONS))))
 
 
 # ----------------------------------------------------------------------
@@ -370,21 +381,30 @@ def _covers(program: Program, atom: Atom, env, db, var_doms) -> bool:
 # ----------------------------------------------------------------------
 
 DRIVERS = [
-    pytest.param(naive, backend, optimize,
-                 id=f"{'naive' if naive else 'seminaive'}-{backend}-"
+    pytest.param(seminaive, backend, optimize,
+                 id=f"{'seminaive' if seminaive else 'naive'}-{backend}-"
                     f"{'opt' if optimize else 'noopt'}")
-    for naive in (False, True)
+    for seminaive in (False, True)
     for backend in ("reference", "packed")
     for optimize in (True, False)
 ]
 ORACLE = settings(max_examples=20, deadline=None)
 
 
-def make_solver(ast, naive, backend, optimize, case: Case) -> Solver:
+@pytest.fixture(autouse=True, scope="module")
+def _restore_naive_iterations():
+    yield
+    solver_module._NAIVE_ITERATIONS = NAIVE_ITERATIONS
+
+
+def make_solver(ast, seminaive, backend, optimize, case: Case) -> Solver:
+    # Read at solve time; every case sets it before its solver runs.
+    solver_module._NAIVE_ITERATIONS = case.naive_iterations
     limits = {"gc_threshold": 1} if case.collect else {}
     if case.cache_limit is not None:
         limits["cache_limit"] = case.cache_limit
-    solver = Solver(ast, naive=naive, backend=backend, optimize=optimize,
+    solver = Solver(ast, seminaive=seminaive, backend=backend,
+                    optimize=optimize,
                     **limits)
     if case.cache_limit is not None:
         # Service the kernel on every fresh node, so its cache cap runs
@@ -449,11 +469,11 @@ def monotone_inputs(program: Program) -> List[str]:
 class Demand:
     """A magic-rewritten solver answering the case's goals in order."""
 
-    def __init__(self, case: Case, naive, backend, optimize):
+    def __init__(self, case: Case, seminaive, backend, optimize):
         self.program = case.program
         pairs = sorted({(pred, ad) for pred, ad, _ in case.goals})
         self.magic = magic_rewrite(parse_program(case.program.text()), pairs)
-        self.solver = make_solver(self.magic.program, naive, backend,
+        self.solver = make_solver(self.magic.program, seminaive, backend,
                                   optimize, case)
         self.want = model(case.program, case.facts)
 
@@ -483,24 +503,24 @@ class Demand:
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("naive,backend,optimize", DRIVERS)
+@pytest.mark.parametrize("seminaive,backend,optimize", DRIVERS)
 @given(case=cases())
 @ORACLE
-def test_full_solve_matches_model(naive, backend, optimize, case):
+def test_full_solve_matches_model(seminaive, backend, optimize, case):
     program = case.program
-    solver = make_solver(parse_program(program.text()), naive, backend,
+    solver = make_solver(parse_program(program.text()), seminaive, backend,
                          optimize, case)
     solver.solve()
     assert_matches(solver, program, model(program, case.facts))
 
 
-@pytest.mark.parametrize("naive,backend,optimize", DRIVERS)
+@pytest.mark.parametrize("seminaive,backend,optimize", DRIVERS)
 @given(case=cases())
 @ORACLE
-def test_incremental_matches_fresh_solve(naive, backend, optimize, case):
+def test_incremental_matches_fresh_solve(seminaive, backend, optimize, case):
     program = case.program
     facts = case.facts
-    solver = make_solver(parse_program(program.text()), naive, backend,
+    solver = make_solver(parse_program(program.text()), seminaive, backend,
                          optimize, case)
     solver.solve()
     for adds, removes in case.edits:
@@ -510,11 +530,11 @@ def test_incremental_matches_fresh_solve(naive, backend, optimize, case):
         assert_matches(solver, program, model(program, facts))
 
 
-@pytest.mark.parametrize("naive,backend,optimize", DRIVERS)
+@pytest.mark.parametrize("seminaive,backend,optimize", DRIVERS)
 @given(case=cases())
 @ORACLE
-def test_demand_matches_full_solve_on_goal(naive, backend, optimize, case):
-    demand = Demand(case, naive, backend, optimize)
+def test_demand_matches_full_solve_on_goal(seminaive, backend, optimize, case):
+    demand = Demand(case, seminaive, backend, optimize)
     for i, goal in enumerate(case.goals):
         demand.solver.solve_demand(demand.seeds(goal))
         for earlier in case.goals[: i + 1]:
@@ -561,11 +581,11 @@ def _fault_then(call, fault: Tuple[str, int]) -> None:
         faults.disarm()
 
 
-@pytest.mark.parametrize("naive,backend,optimize", DRIVERS)
+@pytest.mark.parametrize("seminaive,backend,optimize", DRIVERS)
 @given(case=cases(), faulted=st.integers(0, 2))
 @ORACLE
-def test_demand_resumes_after_fault(naive, backend, optimize, case, faulted):
-    demand = Demand(case, naive, backend, optimize)
+def test_demand_resumes_after_fault(seminaive, backend, optimize, case, faulted):
+    demand = Demand(case, seminaive, backend, optimize)
     for i, goal in enumerate(case.goals):
         seeds = demand.seeds(goal)
         if i == faulted:
@@ -578,14 +598,14 @@ def test_demand_resumes_after_fault(naive, backend, optimize, case, faulted):
             demand.check(earlier)
 
 
-@pytest.mark.parametrize("naive,backend,optimize", DRIVERS)
+@pytest.mark.parametrize("seminaive,backend,optimize", DRIVERS)
 @given(case=cases())
 @ORACLE
 def test_solve_resumes_after_grow_only_incremental_fault(
-    naive, backend, optimize, case
+    seminaive, backend, optimize, case
 ):
     program = case.program
-    solver = make_solver(parse_program(program.text()), naive, backend,
+    solver = make_solver(parse_program(program.text()), seminaive, backend,
                          optimize, case)
     solver.solve()
     grow = set(monotone_inputs(program))
@@ -607,18 +627,18 @@ def test_solve_resumes_after_grow_only_incremental_fault(
     assert_matches(solver, program, want)
 
 
-@pytest.mark.parametrize("naive,backend,optimize", DRIVERS)
+@pytest.mark.parametrize("seminaive,backend,optimize", DRIVERS)
 @given(case=cases(), resume_backend=st.sampled_from(["reference", "packed"]))
 @ORACLE
 def test_checkpoint_resume_matches_model(
-    naive, backend, optimize, case, resume_backend
+    seminaive, backend, optimize, case, resume_backend
 ):
     """Interrupt a full solve, checkpoint what it reached, and resume in
     a fresh solver (under either backend) from the first stratum that
     had not completed."""
     program = case.program
     ast = parse_program(program.text())
-    solver = make_solver(ast, naive, backend, optimize, case)
+    solver = make_solver(ast, seminaive, backend, optimize, case)
 
     def interrupted(budget):
         solver.budget = budget
@@ -631,7 +651,7 @@ def test_checkpoint_resume_matches_model(
     lines, _ = checkpoint_lines(
         solver, next_stratum=solver.last_completed_stratum + 1
     )
-    fresh = make_solver(ast, naive, resume_backend, optimize,
+    fresh = make_solver(ast, seminaive, resume_backend, optimize,
                         replace(case, facts={}))
     meta = load_checkpoint_lines(fresh, lines, "oracle")
     fresh.solve(start_stratum=meta.next_stratum)
@@ -671,8 +691,8 @@ def _copy_rule(head: str, body: str) -> Rule:
     return Rule((head, (("v", "a0"),)), [(body, (("v", "a0"),))])
 
 
-@pytest.mark.parametrize("naive,backend,optimize", DRIVERS)
-def test_demand_fault_on_second_seed(naive, backend, optimize):
+@pytest.mark.parametrize("seminaive,backend,optimize", DRIVERS)
+def test_demand_fault_on_second_seed(seminaive, backend, optimize):
     # A fault on the first stratum of the second goal's push used to
     # leave the solver marked solved; the retry then found no new seed
     # and answered from the half-pushed state (nothing for goal (1,)).
@@ -686,7 +706,7 @@ def test_demand_fault_on_second_seed(naive, backend, optimize):
     )
     case = Case(program, {"e0": {(0,), (1,)}}, [],
                 [("p00", "b", (0,)), ("p00", "b", (1,))], ("exception", 1))
-    demand = Demand(case, naive, backend, optimize)
+    demand = Demand(case, seminaive, backend, optimize)
     first, second = case.goals
     demand.solver.solve_demand(demand.seeds(first))
     faults.arm("exception@solver.stratum#1")

@@ -55,14 +55,14 @@ def test_transitive_closure_matches_model(edges):
 @given(edges_strategy)
 @settings(max_examples=30, deadline=None)
 def test_naive_equals_seminaive(edges):
-    fast = Solver(parse_program(TC))
-    fast.add_tuples("edge", edges)
-    fast.solve()
-    slow = Solver(parse_program(TC), naive=True)
-    slow.add_tuples("edge", edges)
-    slow.solve()
-    assert set(fast.relation("path").tuples()) == set(
-        slow.relation("path").tuples()
+    naive = Solver(parse_program(TC))
+    naive.add_tuples("edge", edges)
+    naive.solve()
+    semi = Solver(parse_program(TC), seminaive=True)
+    semi.add_tuples("edge", edges)
+    semi.solve()
+    assert set(naive.relation("path").tuples()) == set(
+        semi.relation("path").tuples()
     )
 
 

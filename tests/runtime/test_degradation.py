@@ -91,6 +91,32 @@ class TestGovernedRuns:
         assert ckpt.exists()
         assert ckpt.read_text().startswith("# repro-checkpoint 2")
 
+    def test_corrupt_checkpoint_solves_fresh(
+        self, small_program, small_reference, tmp_path
+    ):
+        """A checkpoint whose meta names this program but whose payload
+        is corrupt names no program: an ungoverned run solves fresh and
+        leaves the file for the next fault to overwrite."""
+        ContextSensitiveAnalysis(
+            program=small_program,
+            budget=ResourceBudget(timeout=300, node_budget=2000),
+            checkpoint_dir=str(tmp_path),
+        ).run()
+        ckpt = tmp_path / "context_sensitive.ckpt"
+        lines = ckpt.read_text().splitlines(keepends=True)
+        index = next(i for i, line in enumerate(lines)
+                     if line.startswith("node "))
+        fields = lines[index].split()
+        fields[-1] = str(int(fields[-1]) ^ 1)
+        lines[index] = " ".join(fields) + "\n"
+        ckpt.write_text("".join(lines))
+        result = ContextSensitiveAnalysis(
+            program=small_program, checkpoint_dir=str(tmp_path)
+        ).run()
+        assert result.resumed is False
+        assert set(result._points_to_tuples()) == small_reference
+        assert ckpt.exists()
+
     def test_report_is_machine_readable(self, small_program):
         result = ContextSensitiveAnalysis(
             program=small_program,
