@@ -55,9 +55,33 @@ from .base import (
 )
 from .context_insensitive import ContextInsensitiveAnalysis
 
-__all__ = ["ContextSensitiveAnalysis", "ContextSensitiveResult"]
+__all__ = [
+    "ContextSensitiveAnalysis", "ContextSensitiveResult", "install_numbering",
+]
 
 CHECKPOINT_NAME = "context_sensitive.ckpt"
+
+
+def install_numbering(solver, numbering: ContextNumbering, facts: Facts) -> None:
+    """Encode a context numbering into an Algorithm 5 solver's ``IEC``
+    and ``MC`` relations (Section 4.1)."""
+    iec = solver.relation("IEC")
+    solver.set_node("IEC", numbering.build_iec(
+        solver.manager,
+        iec.attribute("caller").phys,
+        iec.attribute("invoke").phys,
+        iec.attribute("callee").phys,
+        iec.attribute("tgt").phys,
+        alloc_sites=facts.alloc_sites,
+        global_site=facts.global_site,
+        global_method=facts.method_id(facts.entry),
+    ))
+    mc = solver.relation("MC")
+    solver.set_node("MC", numbering.build_mc(
+        solver.manager,
+        mc.attribute("context").phys,
+        mc.attribute("method").phys,
+    ))
 
 
 @dataclass
@@ -162,7 +186,7 @@ class ContextSensitiveAnalysis:
         return self._context_insensitive(budget).discovered_call_graph
 
     def _number(self, graph: CallGraph, cap: Optional[int] = None) -> ContextNumbering:
-        entries = self.facts.entry_method_ids()
+        entries = self.facts.entry_ids
         if cap is None and self.context_policy == "1cfa":
             return number_call_graph_1cfa(graph, entries=entries)
         return number_call_graph(graph, entries=entries, cap=cap)
@@ -173,7 +197,6 @@ class ContextSensitiveAnalysis:
     def _build_solver(
         self,
         numbering: ContextNumbering,
-        graph: CallGraph,
         budget: Optional[ResourceBudget],
         resume: bool = False,
     ):
@@ -190,7 +213,7 @@ class ContextSensitiveAnalysis:
             load_facts=not resume,
         )
         if not resume:
-            self._install_numbering(solver, numbering, graph)
+            install_numbering(solver, numbering, self.facts)
         return solver
 
     @functools.cached_property
@@ -303,7 +326,7 @@ class ContextSensitiveAnalysis:
             ):
                 saved = None
         resume = saved is not None
-        solver = self._build_solver(numbering, graph, budget, resume=resume)
+        solver = self._build_solver(numbering, budget, resume=resume)
         start_stratum = 0
         if resume:
             try:
@@ -314,7 +337,7 @@ class ContextSensitiveAnalysis:
                 # A corrupt digest or payload names no program either:
                 # solve fresh, and leave the file for a fault to replace.
                 resume = False
-                solver = self._build_solver(numbering, graph, budget)
+                solver = self._build_solver(numbering, budget)
             del saved
         try:
             solver.solve(start_stratum=start_stratum)
@@ -408,32 +431,3 @@ class ContextSensitiveAnalysis:
                 return result
         err.degradation = report
         raise err
-
-    def _install_numbering(
-        self, solver, numbering: ContextNumbering, graph: CallGraph
-    ) -> None:
-        facts = self.facts
-        iec = solver.relation("IEC")
-        c0 = iec.attribute("caller").phys
-        i0 = iec.attribute("invoke").phys
-        c1 = iec.attribute("callee").phys
-        m0 = iec.attribute("tgt").phys
-        entry = facts.method_id(facts.program.entry.qualified)
-        node = numbering.build_iec(
-            solver.manager,
-            c0,
-            i0,
-            c1,
-            m0,
-            alloc_sites=facts.alloc_sites,
-            global_site=facts.global_site,
-            global_method=entry,
-        )
-        solver.set_node("IEC", node)
-        mc = solver.relation("MC")
-        mc_node = numbering.build_mc(
-            solver.manager,
-            mc.attribute("context").phys,
-            mc.attribute("method").phys,
-        )
-        solver.set_node("MC", mc_node)

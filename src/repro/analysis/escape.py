@@ -42,33 +42,11 @@ __all__ = [
     "ThreadEscapeAnalysis",
     "EscapeResult",
     "EscapeInputs",
-    "thread_alloc_sites",
     "build_escape_inputs",
 ]
 
 GLOBAL_CONTEXT = 0
 MAIN_CONTEXT = 1
-
-
-def thread_alloc_sites(facts: Facts) -> List[Tuple[int, int]]:
-    """(heap id, run-method id) for every thread allocation site.
-
-    Needs the type hierarchy, so it only works on full extracted
-    :class:`Facts`; program-free fact sets (``repro.incremental``) store
-    the result instead and bypass this via the ``thread_sites`` override.
-    """
-    hierarchy = facts.hierarchy
-    type_names = facts.maps["T"]
-    out = []
-    for h, t in facts.relations["hT"]:
-        cls = type_names[t]
-        if cls == "Object" or not hierarchy.is_thread_type(cls):
-            continue
-        run = hierarchy.resolve(cls, "run")
-        if run is None:
-            continue
-        out.append((h, facts.method_id(run.qualified)))
-    return sorted(out)
 
 
 @dataclass
@@ -107,17 +85,14 @@ def _reachable_without_spawn(
     return seen
 
 
-def build_escape_inputs(
-    facts: Facts,
-    graph: CallGraph,
-    thread_sites: Sequence[Tuple[int, int]],
-) -> EscapeInputs:
+def build_escape_inputs(facts: Facts, graph: CallGraph) -> EscapeInputs:
     """Compute the Algorithm 7 inputs from facts + call graph.
 
-    Pure bookkeeping over the fact tables and the graph — no hierarchy
-    access, so it accepts both full :class:`Facts` and the program-free
-    fact sets of :mod:`repro.incremental`.
+    Pure bookkeeping over the fact tables (the thread allocation sites
+    among them) and the graph, whether the facts were extracted from
+    source or rebuilt from a database.
     """
+    thread_sites = facts.thread_sites
     start_name = (
         facts.id_of("N", "start") if "start" in facts.maps["N"] else None
     )
@@ -135,7 +110,7 @@ def build_escape_inputs(
     # initializers).
     reach: Dict[int, Set[int]] = {
         MAIN_CONTEXT: _reachable_without_spawn(
-            graph, facts.entry_method_ids(), start_sites
+            graph, facts.entry_ids, start_sites
         )
     }
     for h, run in thread_sites:
@@ -262,6 +237,15 @@ class EscapeResult(AnalysisResult):
         )
         return highest + 1
 
+    def verdicts(self) -> Dict[str, List[int]]:
+        """The sorted verdict lists a database stores (``meta["escape"]``)."""
+        return {
+            "escaped": sorted(self.escaped_heaps()),
+            "captured": sorted(self.captured_heaps()),
+            "sync_needed": sorted(self.needed_sync_vars()),
+            "sync_unneeded": sorted(self.unneeded_sync_vars()),
+        }
+
     def summary(self) -> Dict[str, int]:
         """The four columns of Figure 5."""
         return {
@@ -288,14 +272,12 @@ class ThreadEscapeAnalysis:
         budget=None,
         backend: Optional[str] = None,
         optimize: Optional[bool] = None,
-        thread_sites: Optional[Sequence[Tuple[int, int]]] = None,
     ) -> None:
         if facts is None:
             if program is None:
                 raise AnalysisError("provide a Program or extracted Facts")
             facts = extract_facts(program)
         self.facts = facts
-        self.thread_sites = thread_sites
         self.call_graph = call_graph
         self.order_spec = order_spec
         self.budget = budget
@@ -319,16 +301,11 @@ class ThreadEscapeAnalysis:
         ).run()
         return ci.discovered_call_graph
 
-    def _thread_alloc_sites(self) -> List[Tuple[int, int]]:
-        if self.thread_sites is not None:
-            return sorted(tuple(site) for site in self.thread_sites)
-        return thread_alloc_sites(self.facts)
-
     def run(self) -> EscapeResult:
         start_time = time.monotonic()
         facts = self.facts
         graph = self._obtain_call_graph()
-        inputs = build_escape_inputs(facts, graph, self._thread_alloc_sites())
+        inputs = build_escape_inputs(facts, graph)
 
         source = load_datalog_source("algorithm7")
         solver = make_solver(

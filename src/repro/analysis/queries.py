@@ -279,7 +279,7 @@ def devirtualization(result) -> DevirtReport:
         )
     facts = result.facts
     sites, methods = facts.maps["I"], facts.maps["M"]
-    entry = facts.program.entry.qualified
+    entry = facts.entry
     return DevirtReport(
         mono=sorted(sites[i] for (i,) in solver.relation("monoCall").tuples()),
         poly=sorted(sites[i] for (i,) in solver.relation("polyCall").tuples()),

@@ -219,7 +219,7 @@ def run_benchmark(
         refinement["cs_pointer_proj"] = refinement["ci_filter"]
         refinement["cs_pointer_full"] = refinement["ci_filter"]
         paths = number_call_graph(
-            graph, entries=facts.entry_method_ids()
+            graph, entries=facts.entry_ids
         ).max_paths()
     else:
         refinement["cs_pointer_proj"] = refinement_stats(alg5, "projected").as_row()
@@ -766,7 +766,7 @@ def _run_with_shuffled_numbering(
     clone structure.  The IEC BDD is built tuple-by-tuple."""
     from ..analysis.base import load_datalog_source, make_solver
 
-    entry_m = facts.method_id(facts.program.entry.qualified)
+    entry_m = facts.method_id(facts.entry)
     numbering = number_call_graph(graph, entries=[entry_m])
     c_size = numbering.context_domain_size()
     if c_size > 100_000:

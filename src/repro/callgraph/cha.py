@@ -63,7 +63,7 @@ def cha_call_graph(facts: Facts, reachable_only: bool = True) -> CallGraph:
 
     if not reachable_only:
         return graph
-    keep = graph.reachable_from(facts.entry_method_ids())
+    keep = graph.reachable_from(facts.entry_ids)
     pruned = CallGraph(keep)
     for edge in graph.edges:
         if edge.caller in keep and edge.callee in keep:
@@ -85,7 +85,7 @@ def call_graph_from_ie(
         graph.add_edge(site, caller, callee)
     if not reachable_only:
         return graph
-    keep = graph.reachable_from(facts.entry_method_ids())
+    keep = graph.reachable_from(facts.entry_ids)
     pruned = CallGraph(keep)
     for edge in graph.edges:
         if edge.caller in keep and edge.callee in keep:

@@ -255,10 +255,9 @@ class FactDiff:
     def resolve(self, facts) -> "FactDiff":
         """Return a pure-ordinal diff resolved against ``facts``.
 
-        ``facts`` is anything with ``maps`` and ``var_id`` (full
-        :class:`~repro.ir.facts.Facts` or the incremental
-        :class:`~repro.incremental.state.FactSet`).  Names are resolved,
-        ordinals bounds-checked, and add/remove conflicts detected.
+        ``facts`` is a :class:`~repro.ir.facts.Facts`.  Names are
+        resolved, ordinals bounds-checked, and add/remove conflicts
+        detected.
         """
         added = {
             rel: [self._resolve_tuple(facts, rel, t) for t in rows]
@@ -306,17 +305,16 @@ class FactDiff:
             method, _, var = value.rpartition(":")
             try:
                 return facts.var_id(method, var)
-            except Exception:
+            except InvalidInputError:
                 raise FactDiffError(
                     f"{self.name}: {rel}: no variable {value!r} in the "
                     f"baseline program",
                     predicate=rel,
                     value=value,
                 )
-        names = facts.maps.get(domain, ())
         try:
-            return names.index(value)
-        except ValueError:
+            return facts.id_of(domain, value)
+        except InvalidInputError:
             raise FactDiffError(
                 f"{self.name}: {rel}: no element {value!r} in domain "
                 f"{domain}",

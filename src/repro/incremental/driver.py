@@ -35,11 +35,12 @@ from __future__ import annotations
 
 import pathlib
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Optional, Sequence, Set, Tuple, Union
 
 from ..bdd import FALSE
 from ..callgraph import call_graph_from_ie
+from ..ir.facts import Facts
 from ..runtime import ResourceBudget
 from ..runtime.checkpoint import load_checkpoint_lines
 from ..runtime.errors import CheckpointError, InvalidInputError
@@ -50,7 +51,7 @@ from .fixpoint import (
     bundle_path_for,
     load_fixpoint_bundle,
 )
-from .state import AppliedDiff, FactSet
+from .state import AppliedDiff
 
 __all__ = ["RecompileResult", "recompile_database"]
 
@@ -72,7 +73,6 @@ class RecompileResult:
 
     db: Any
     modes: Dict[str, str]
-    timings: Dict[str, float] = field(default_factory=dict)
     state: Any = None
     diff_sha256: str = ""
     parent_db_id: str = ""
@@ -162,7 +162,7 @@ def recompile_database(
     if budget is not None:
         budget.start()
 
-    base_facts = FactSet.from_db_meta(db.meta, name=db.path or "<db>")
+    base_facts = Facts.from_db_meta(db.meta, name=db.path or "<db>")
     parent_facts_sha = db.meta.get("program", {}).get("facts_sha256")
     diff.check_baseline(db.db_id, parent_facts_sha)
     resolved = diff.resolve(base_facts)
@@ -179,7 +179,7 @@ def recompile_database(
     order_spec = config.get("order_spec")
     budget_class = config.get("budget_class")
 
-    new_facts: FactSet
+    new_facts: Facts
     applied: Optional[AppliedDiff]
     if resolved.is_empty():
         applied = None
@@ -240,7 +240,6 @@ def _cold_recompile(
     from ..serve.database import compile_database_with_state
 
     modes = {"ci": "cold", "cs": "cold", "escape": "cold"}
-    t0 = time.monotonic()
     new_db, state = compile_database_with_state(
         facts=new_facts,
         main=main,
@@ -255,7 +254,6 @@ def _cold_recompile(
     return RecompileResult(
         db=new_db,
         modes=modes,
-        timings={"total_s": time.monotonic() - t0},
         state=state,
         diff_sha256=provenance["diff_sha256"],
         parent_db_id=db.db_id,
@@ -269,7 +267,7 @@ def _warm_recompile(
     from ..analysis.base import load_datalog_source, make_solver
     from ..analysis.context_sensitive import ContextSensitiveAnalysis
     from ..analysis.escape import EscapeResult, build_escape_inputs
-    from ..serve.database import CompileState, package_database
+    from ..serve.database import finish_compile, phase_budget
 
     modes: Dict[str, str] = {}
     timings: Dict[str, float] = {}
@@ -284,7 +282,7 @@ def _warm_recompile(
     ci_solver = make_solver(
         new_facts,
         load_datalog_source("algorithm3"),
-        budget=budget.share_deadline() if budget is not None else None,
+        budget=phase_budget(budget),
         load_facts=False,  # the ci checkpoint restores every relation
         **solver_kwargs,
     )
@@ -307,22 +305,14 @@ def _warm_recompile(
             load_datalog_source("algorithm5", fragments),
             size_overrides={"C": int(bundle.meta["cs_c_size"])},
             order_spec=order_spec,
-            budget=(
-                budget.share_deadline(
-                    node_budget=budget.node_budget,
-                    max_iterations=budget.max_iterations,
-                )
-                if budget is not None
-                else None
-            ),
+            budget=phase_budget(budget, bounded=True),
             load_facts=False,  # the cs checkpoint restores every relation
             **solver_kwargs,
         )
         _load_section(cs_solver, bundle, "cs", label)
         added_nodes, dirty = _editable_edits(cs_solver, applied)
         cs_solver.solve_incremental(added_nodes, dirty)
-        cs_c_size = int(bundle.meta["cs_c_size"])
-        max_paths = int(bundle.meta["max_paths"])
+        max_paths = int(db.meta["paths"])
         modes["cs"] = "delta"
     else:
         # The numbering is derived from the call graph; a changed IE
@@ -332,38 +322,27 @@ def _warm_recompile(
             call_graph=graph,
             query_fragments=fragments,
             order_spec=order_spec,
-            budget=(
-                budget.share_deadline(
-                    node_budget=budget.node_budget,
-                    max_iterations=budget.max_iterations,
-                )
-                if budget is not None
-                else None
-            ),
+            budget=phase_budget(budget, bounded=True),
             degrade=False,
             **solver_kwargs,
         ).run()
         cs_solver = cs_result.solver
-        cs_c_size = cs_result.numbering.context_domain_size()
         max_paths = cs_result.max_paths()
         modes["cs"] = "recomputed"
     timings["context_sensitive_s"] = time.monotonic() - t0
 
     # ---- phase 3: escape ---------------------------------------------
     t0 = time.monotonic()
-    thread_sites = sorted(
-        (int(h), int(r)) for h, r in bundle.meta.get("thread_sites", ())
-    )
     old_graph = (
         graph if ie_new == old_ie else call_graph_from_ie(base_facts, old_ie)
     )
-    old_inputs = build_escape_inputs(base_facts, old_graph, thread_sites)
-    new_inputs = build_escape_inputs(new_facts, graph, thread_sites)
+    old_inputs = build_escape_inputs(base_facts, old_graph)
+    new_inputs = build_escape_inputs(new_facts, graph)
     esc_solver = make_solver(
         new_facts,
         load_datalog_source("algorithm7"),
         size_overrides={"C": int(bundle.meta["escape_c_size"])},
-        budget=budget.share_deadline() if budget is not None else None,
+        budget=phase_budget(budget),
         load_facts=False,  # the escape checkpoint restores every relation
         **solver_kwargs,
     )
@@ -402,42 +381,20 @@ def _warm_recompile(
         seconds=0.0,
         thread_contexts=new_inputs.contexts,
     )
-    escape_verdicts = {
-        "escaped": sorted(esc.escaped_heaps()),
-        "captured": sorted(esc.captured_heaps()),
-        "sync_needed": sorted(esc.needed_sync_vars()),
-        "sync_unneeded": sorted(esc.unneeded_sync_vars()),
-    }
     timings["escape_s"] = time.monotonic() - t0
     modes["escape"] = "delta"
 
-    new_db = package_database(
-        new_facts,
-        cs_solver,
-        ie_new,
-        escape_verdicts,
-        max_paths=max_paths,
-        thread_sites=thread_sites,
+    new_db, state = finish_compile(
+        new_facts, ci_solver, ie_new, cs_solver, max_paths, esc,
         modref=modref,
         budget_class=budget_class,
         main=main,
         timings=timings,
         provenance=dict(provenance, modes=modes),
     )
-    state = CompileState(
-        ci_solver=ci_solver,
-        cs_solver=cs_solver,
-        escape_solver=esc_solver,
-        ie_tuples=ie_new,
-        cs_c_size=cs_c_size,
-        escape_c_size=int(bundle.meta["escape_c_size"]),
-        thread_sites=thread_sites,
-        max_paths=max_paths,
-    )
     return RecompileResult(
         db=new_db,
         modes=modes,
-        timings=timings,
         state=state,
         diff_sha256=provenance["diff_sha256"],
         parent_db_id=db.db_id,

@@ -21,10 +21,11 @@ meta, a digest over that meta and the payload, and the payload), so the
 existing checkpoint loader does all integrity and schema checking; the
 bundle adds only the envelope and the cross-phase facts: which database
 this fixpoint belongs to (``db_id`` — a bundle for the wrong database is
-rejected up front), the context-domain sizes the solvers were built
-with, the path count and the thread sites.  The compile configuration
-(variable order, mod-ref) is the database's own meta, which a warm
-recompile reads.
+rejected up front) and the context-domain sizes the solvers were built
+with.  Everything else a warm recompile needs is the database's own
+meta: the compile configuration (variable order, mod-ref), the path
+count and the fact set with its thread sites.  Keys older bundles carry
+beyond these are ignored.
 
 Losing or lacking a bundle is never fatal: the recompiler falls back to
 a cold (from-scratch) compile of the edited facts and writes a fresh
@@ -95,8 +96,8 @@ def write_fixpoint_bundle(path: PathLike, db, state) -> str:
     """Checkpoint all three solvers of ``state`` beside database ``db``.
 
     ``state`` is a :class:`~repro.serve.database.CompileState`.  Returns
-    the written path.  The compile configuration is not repeated here: a
-    warm recompile reads it from the database's own meta.
+    the written path.  Nothing the database's meta holds is repeated
+    here: a warm recompile reads it from there.
     """
     meta: Dict[str, Any] = {
         "format_version": FORMAT_VERSION,
@@ -104,8 +105,6 @@ def write_fixpoint_bundle(path: PathLike, db, state) -> str:
         "db_id": db.db_id,
         "cs_c_size": state.cs_c_size,
         "escape_c_size": state.escape_c_size,
-        "max_paths": state.max_paths,
-        "thread_sites": [list(t) for t in state.thread_sites],
         "sections": list(SECTIONS),
     }
     lines = [

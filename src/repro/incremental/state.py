@@ -1,48 +1,27 @@
-"""Program-free fact sets: everything the solvers need, rebuilt from a
-database.
+"""Edit semantics of the fact set the recompiler works on.
 
-The incremental recompiler starts from a ``.ptdb`` file, not from source
-— the whole point is that re-extraction (and the program text itself)
-is unnecessary for relation-level edits.  :class:`FactSet` is a
-duck-type of :class:`~repro.ir.facts.Facts` carrying exactly the slice
-the analysis drivers consume — domain maps, input relations, site
-bookkeeping, entry methods, the variable-representative table — plus
-the ``thread_sites`` list that replaces the type-hierarchy walk of the
-escape analysis (the hierarchy does not survive into the database; the
-computed sites do, via ``meta["facts"]``).
+The incremental recompiler starts from a ``.ptdb`` file, not from
+source — re-extraction (and the program text itself) is unnecessary for
+relation-level edits.  Its fact set is :class:`~repro.ir.facts.Facts`,
+rebuilt by :meth:`~repro.ir.facts.Facts.from_db_meta` from the meta
+record the compile wrote; ``FactSet`` is that class under its historical
+name.
 
-``apply_diff`` produces a *new* fact set (the baseline stays usable for
-old-versus-new comparisons) together with the effective per-relation
-edits, enforcing the edit semantics: adds are idempotent, removals of
-absent tuples are errors (a removal that silently does nothing almost
-certainly means the diff was written against the wrong baseline).
+:meth:`~repro.ir.facts.Facts.apply_diff` produces a *new* fact set (the
+baseline stays usable for old-versus-new comparisons) together with an
+:class:`AppliedDiff` of the effective per-relation edits: adds are
+idempotent, removals of absent tuples are errors.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
-from ..runtime.errors import InvalidInputError
-from .diff import EDITABLE_RELATIONS, FactDiff, FactDiffError
+from ..ir.facts import Facts
 
 __all__ = ["AppliedDiff", "FactSet"]
 
-
-class _EntryStub:
-    def __init__(self, qualified: str) -> None:
-        self.qualified = qualified
-
-
-class _ProgramStub:
-    """Stands in for :class:`~repro.ir.program.Program` where the
-    packager and numbering layers only need the entry name and stats."""
-
-    def __init__(self, entry: str, stats: Dict[str, Any]) -> None:
-        self.entry = _EntryStub(entry)
-        self._stats = dict(stats)
-
-    def stats(self) -> Dict[str, Any]:
-        return dict(self._stats)
+FactSet = Facts
 
 
 class AppliedDiff:
@@ -69,206 +48,3 @@ class AppliedDiff:
         return sorted(
             name for name, (a, r) in self.changes.items() if a or r
         )
-
-
-class FactSet:
-    """A :class:`~repro.ir.facts.Facts` duck-type without the program."""
-
-    def __init__(
-        self,
-        maps: Dict[str, List[str]],
-        relations: Dict[str, List[tuple]],
-        site_method: Dict[int, int],
-        alloc_sites: Dict[int, List[int]],
-        global_site: int,
-        max_arity: int,
-        entry_ids: List[int],
-        thread_sites: List[Tuple[int, int]],
-        var_reps: Dict[Tuple[str, str], str],
-        program_entry: str,
-        program_stats: Dict[str, Any],
-    ) -> None:
-        self.maps = maps
-        self.relations = relations
-        self.site_method = site_method
-        self.alloc_sites = alloc_sites
-        self.global_site = global_site
-        self.max_arity = max_arity
-        self._entry_ids = list(entry_ids)
-        self.thread_sites = sorted(tuple(t) for t in thread_sites)
-        self._var_reps = var_reps
-        self.program = _ProgramStub(program_entry, program_stats)
-        self._indexes: Dict[str, Dict[str, int]] = {}
-
-    # -- Facts interface ------------------------------------------------
-
-    @property
-    def sizes(self) -> Dict[str, int]:
-        out = {dom: max(1, len(names)) for dom, names in self.maps.items()}
-        out["Z"] = self.max_arity
-        return out
-
-    def _index(self, domain: str) -> Dict[str, int]:
-        idx = self._indexes.get(domain)
-        if idx is None:
-            idx = self._indexes[domain] = {
-                name: i for i, name in enumerate(self.maps.get(domain, ()))
-            }
-        return idx
-
-    def id_of(self, domain: str, name: str) -> int:
-        ordinal = self._index(domain).get(name)
-        if ordinal is None:
-            raise InvalidInputError(
-                f"no element {name!r} in domain {domain}"
-            )
-        return ordinal
-
-    def name_of(self, domain: str, ordinal: int) -> str:
-        return self.maps[domain][ordinal]
-
-    def var_id(self, method: str, var: str) -> int:
-        rep = self._var_reps.get((method, var))
-        if rep is None:
-            raise InvalidInputError(f"no variable {var!r} in {method}")
-        return self.id_of("V", rep)
-
-    def method_id(self, qualified: str) -> int:
-        try:
-            return self.id_of("M", qualified)
-        except InvalidInputError:
-            raise InvalidInputError(f"no method {qualified!r} in the database")
-
-    def entry_method_ids(self) -> List[int]:
-        return list(self._entry_ids)
-
-    # -- construction ---------------------------------------------------
-
-    @classmethod
-    def from_facts(
-        cls, facts, thread_sites: Optional[Sequence[Tuple[int, int]]] = None
-    ) -> "FactSet":
-        """Snapshot full extracted Facts (tests, differential gates)."""
-        if thread_sites is None:
-            from ..analysis.escape import thread_alloc_sites
-
-            thread_sites = thread_alloc_sites(facts)
-        return cls(
-            maps={dom: list(names) for dom, names in facts.maps.items()},
-            relations={
-                name: [tuple(t) for t in rows]
-                for name, rows in facts.relations.items()
-            },
-            site_method=dict(facts.site_method),
-            alloc_sites={
-                m: list(sites) for m, sites in facts.alloc_sites.items()
-            },
-            global_site=facts.global_site,
-            max_arity=facts.max_arity,
-            entry_ids=facts.entry_method_ids(),
-            thread_sites=thread_sites,
-            var_reps=dict(facts._var_reps),
-            program_entry=facts.program.entry.qualified,
-            program_stats=facts.program.stats(),
-        )
-
-    @classmethod
-    def from_db_meta(cls, meta: Dict[str, Any], name: str = "<db>") -> "FactSet":
-        """Rebuild the fact set embedded in a database's meta record."""
-        embedded = meta.get("facts")
-        if not isinstance(embedded, dict):
-            raise FactDiffError(
-                f"{name}: database has no embedded fact tables "
-                f"(meta['facts']) — it was written by an older tool; "
-                f"re-run 'repro compile-db' to produce a recompilable "
-                f"database"
-            )
-        maps = {
-            dom: list(names) for dom, names in meta.get("maps", {}).items()
-        }
-        program_meta = meta.get("program", {})
-        var_index = maps.get("V", [])
-        var_reps: Dict[Tuple[str, str], str] = {}
-        for spec, ordinal in meta.get("var_reps", {}).items():
-            method, _, var = spec.rpartition(":")
-            var_reps[(method, var)] = var_index[int(ordinal)]
-        return cls(
-            maps=maps,
-            relations={
-                rel: [tuple(t) for t in rows]
-                for rel, rows in embedded.get("relations", {}).items()
-            },
-            site_method={
-                int(site): int(m)
-                for site, m in meta.get("site_method", {}).items()
-            },
-            alloc_sites={
-                int(m): list(sites)
-                for m, sites in embedded.get("alloc_sites", {}).items()
-            },
-            global_site=int(embedded.get("global_site", -1)),
-            max_arity=int(embedded.get("max_arity", 1)),
-            entry_ids=[int(m) for m in embedded.get("entry_ids", ())],
-            thread_sites=[
-                (int(h), int(r)) for h, r in embedded.get("thread_sites", ())
-            ],
-            var_reps=var_reps,
-            program_entry=str(program_meta.get("entry", "")),
-            program_stats=dict(program_meta.get("stats", {})),
-        )
-
-    # -- editing --------------------------------------------------------
-
-    def apply_diff(self, diff: FactDiff) -> Tuple["FactSet", AppliedDiff]:
-        """Apply a *resolved* diff; returns ``(new_facts, applied)``.
-
-        The receiver is not mutated.  Adds of already-present tuples are
-        dropped (idempotent); removals of absent tuples raise
-        :class:`FactDiffError`.
-        """
-        new_relations = {
-            name: list(rows) for name, rows in self.relations.items()
-        }
-        changes: Dict[str, Tuple[List[tuple], List[tuple]]] = {}
-        for rel in sorted(set(diff.added) | set(diff.removed)):
-            if rel not in EDITABLE_RELATIONS:
-                raise FactDiffError(
-                    f"{diff.name}: relation {rel!r} is not editable",
-                    predicate=rel,
-                )
-            current = set(new_relations.get(rel, ()))
-            removed = []
-            for t in diff.removed.get(rel, ()):
-                t = tuple(t)
-                if t not in current:
-                    raise FactDiffError(
-                        f"{diff.name}: {rel}: cannot remove {t} — not "
-                        f"present in the baseline (wrong baseline, or "
-                        f"already removed?)",
-                        predicate=rel,
-                    )
-                current.discard(t)
-                removed.append(t)
-            added = []
-            for t in diff.added.get(rel, ()):
-                t = tuple(t)
-                if t in current:
-                    continue  # idempotent re-add
-                current.add(t)
-                added.append(t)
-            new_relations[rel] = sorted(current)
-            changes[rel] = (sorted(added), sorted(removed))
-        clone = FactSet(
-            maps=self.maps,
-            relations=new_relations,
-            site_method=self.site_method,
-            alloc_sites=self.alloc_sites,
-            global_site=self.global_site,
-            max_arity=self.max_arity,
-            entry_ids=self._entry_ids,
-            thread_sites=self.thread_sites,
-            var_reps=self._var_reps,
-            program_entry=self.program.entry.qualified,
-            program_stats=self.program.stats(),
-        )
-        return clone, AppliedDiff(changes)

@@ -34,8 +34,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from .program import (
     Cast,
@@ -55,8 +55,8 @@ from .program import (
     Throw,
     OBJECT,
 )
-
 from .types import TypeHierarchy
+from ..runtime.errors import InvalidInputError
 
 __all__ = [
     "Facts", "extract_facts", "facts_digest", "NULL_NAME", "GLOBAL", "THROWN",
@@ -109,10 +109,14 @@ class _UnionFind:
 
 @dataclass
 class Facts:
-    """Extracted domains and relations, plus lookup helpers."""
+    """Extracted domains, relations and name maps: the one fact set every
+    solver, the packager and the query layers read.
 
-    program: Program
-    hierarchy: TypeHierarchy
+    :func:`extract_facts` fills it from a program; :meth:`from_db_meta`
+    rebuilds it from the meta record :meth:`db_meta` wrote into a
+    database, so recompiles and demand evaluation need no source.
+    """
+
     maps: Dict[str, List[str]] = field(default_factory=dict)
     relations: Dict[str, List[tuple]] = field(default_factory=dict)
     # Site bookkeeping used by the call-graph and numbering layers.
@@ -120,6 +124,17 @@ class Facts:
     alloc_sites: Dict[int, List[int]] = field(default_factory=dict)  # M -> [I]
     global_site: int = -1
     max_arity: int = 1
+    entry: str = ""  # qualified name of the main method
+    stats: Dict[str, int] = field(default_factory=dict)  # Program.stats()
+    # Sorted ids of the root methods: main plus class initializers.
+    entry_ids: List[int] = field(default_factory=list)
+    # (heap, run method) of every thread allocation site.
+    thread_sites: List[Tuple[int, int]] = field(default_factory=list)
+    # "Method:var" -> V ordinal, following copy factoring.
+    var_reps: Dict[str, int] = field(default_factory=dict)
+    _indexes: Dict[str, Dict[str, int]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     # -- domain helpers ---------------------------------------------------
 
@@ -132,10 +147,15 @@ class Facts:
 
     def id_of(self, domain: str, name: str) -> int:
         """Ordinal of a named element in a domain (V, H, F, T, I, M, N)."""
-        try:
-            return self.maps[domain].index(name)
-        except ValueError:
-            raise IRError(f"no element {name!r} in domain {domain}")
+        index = self._indexes.get(domain)
+        if index is None:
+            index = self._indexes[domain] = {
+                name: i for i, name in enumerate(self.maps.get(domain, ()))
+            }
+        ordinal = index.get(name)
+        if ordinal is None:
+            raise InvalidInputError(f"no element {name!r} in domain {domain}")
+        return ordinal
 
     def name_of(self, domain: str, ordinal: int) -> str:
         """Inverse of :meth:`id_of`."""
@@ -143,30 +163,137 @@ class Facts:
 
     def var_id(self, method: str, var: str) -> int:
         """Ordinal of a local variable, following copy factoring."""
-        rep = self._var_reps.get((method, var))
-        if rep is None:
-            raise IRError(f"no variable {var!r} in {method}")
-        return self.maps["V"].index(rep)
+        ordinal = self.var_reps.get(f"{method}:{var}")
+        if ordinal is None:
+            raise InvalidInputError(f"no variable {var!r} in {method}")
+        return ordinal
 
     def method_id(self, qualified: str) -> int:
         """Ordinal of a method by qualified name."""
         return self.id_of("M", qualified)
 
-    def entry_method_ids(self) -> List[int]:
-        """Ids of all root methods: main plus class initializers."""
-        return [self.method_id(m.qualified) for m in self.program.entry_methods()]
+    # -- the database's copy ----------------------------------------------
 
-    def heap_ids_of_class(self, cls: str) -> List[int]:
-        """All allocation-site ordinals whose allocated class is ``cls``."""
-        out = []
-        t_id = self.id_of("T", cls)
-        for h, t in self.relations["hT"]:
-            if t == t_id:
-                out.append(h)
-        return out
+    def db_meta(self) -> Dict[str, Any]:
+        """The meta keys of a database that hold this fact set.
 
-    def __post_init__(self) -> None:
-        self._var_reps: Dict[Tuple[str, str], str] = {}
+        ``maps``, ``facts``, ``site_method``, ``var_reps`` and ``program``
+        are stable keys of the database identity, so their contents must
+        not change for the same facts.
+        """
+        return {
+            "maps": self.maps,
+            "facts": {
+                "relations": {
+                    name: [list(t) for t in sorted(self.relations[name])]
+                    for name in sorted(self.relations)
+                },
+                "max_arity": self.max_arity,
+                "alloc_sites": {
+                    str(m): sorted(sites) for m, sites in self.alloc_sites.items()
+                },
+                "global_site": self.global_site,
+                "entry_ids": sorted(self.entry_ids),
+                "thread_sites": [list(t) for t in self.thread_sites],
+            },
+            "site_method": {str(i): m for i, m in self.site_method.items()},
+            "var_reps": dict(self.var_reps),
+            "program": {
+                "facts_sha256": facts_digest(self),
+                "entry": self.entry,
+                "stats": dict(self.stats),
+            },
+        }
+
+    @classmethod
+    def from_db_meta(cls, meta: Dict[str, Any], name: str = "<db>") -> "Facts":
+        """Rebuild the fact set :meth:`db_meta` wrote into a database."""
+        from ..incremental.diff import FactDiffError
+
+        embedded = meta.get("facts")
+        if not isinstance(embedded, dict):
+            raise FactDiffError(
+                f"{name}: database has no embedded fact tables "
+                f"(meta['facts']) — it was written by an older tool; "
+                f"re-run 'repro compile-db' to produce a recompilable "
+                f"database"
+            )
+        program = meta.get("program", {})
+        return cls(
+            maps={dom: list(names) for dom, names in meta.get("maps", {}).items()},
+            relations={
+                rel: [tuple(t) for t in rows]
+                for rel, rows in embedded.get("relations", {}).items()
+            },
+            site_method={
+                int(site): int(m)
+                for site, m in meta.get("site_method", {}).items()
+            },
+            alloc_sites={
+                int(m): list(sites)
+                for m, sites in embedded.get("alloc_sites", {}).items()
+            },
+            global_site=int(embedded.get("global_site", -1)),
+            max_arity=int(embedded.get("max_arity", 1)),
+            entry=str(program.get("entry", "")),
+            stats=dict(program.get("stats", {})),
+            entry_ids=[int(m) for m in embedded.get("entry_ids", ())],
+            thread_sites=[
+                (int(h), int(r)) for h, r in embedded.get("thread_sites", ())
+            ],
+            var_reps={
+                spec: int(v) for spec, v in meta.get("var_reps", {}).items()
+            },
+        )
+
+    # -- editing ----------------------------------------------------------
+
+    def apply_diff(self, diff) -> Tuple["Facts", "AppliedDiff"]:
+        """Apply a *resolved* :class:`~repro.incremental.diff.FactDiff`;
+        returns ``(new_facts, applied)``.
+
+        The receiver is not mutated.  Adds of already-present tuples are
+        dropped (idempotent); removals of absent tuples raise
+        :class:`~repro.incremental.diff.FactDiffError` (a removal that
+        silently does nothing almost certainly means the diff was written
+        against the wrong baseline).
+        """
+        from ..incremental.diff import EDITABLE_RELATIONS, FactDiffError
+        from ..incremental.state import AppliedDiff
+
+        new_relations = {
+            name: list(rows) for name, rows in self.relations.items()
+        }
+        changes: Dict[str, Tuple[List[tuple], List[tuple]]] = {}
+        for rel in sorted(set(diff.added) | set(diff.removed)):
+            if rel not in EDITABLE_RELATIONS:
+                raise FactDiffError(
+                    f"{diff.name}: relation {rel!r} is not editable",
+                    predicate=rel,
+                )
+            current = set(new_relations.get(rel, ()))
+            removed = []
+            for t in diff.removed.get(rel, ()):
+                t = tuple(t)
+                if t not in current:
+                    raise FactDiffError(
+                        f"{diff.name}: {rel}: cannot remove {t} — not "
+                        f"present in the baseline (wrong baseline, or "
+                        f"already removed?)",
+                        predicate=rel,
+                    )
+                current.discard(t)
+                removed.append(t)
+            added = []
+            for t in diff.added.get(rel, ()):
+                t = tuple(t)
+                if t in current:
+                    continue  # idempotent re-add
+                current.add(t)
+                added.append(t)
+            new_relations[rel] = sorted(current)
+            changes[rel] = (sorted(added), sorted(removed))
+        return replace(self, relations=new_relations), AppliedDiff(changes)
 
 
 def facts_digest(facts: Facts) -> str:
@@ -262,7 +389,7 @@ def extract_facts(program: Program, factor_locals: bool = True) -> Facts:
     """
     program.validate()
     hierarchy = TypeHierarchy(program)
-    facts = Facts(program=program, hierarchy=hierarchy)
+    facts = Facts(entry=program.entry.qualified, stats=program.stats())
 
     tables = {dom: _NameTable() for dom in "VHFTIMN"}
     rels: Dict[str, List[tuple]] = {
@@ -506,5 +633,20 @@ def extract_facts(program: Program, factor_locals: bool = True) -> Facts:
     rels["IH"] = [(h, h) for h in range(len(tables["H"]))]
     facts.maps = {dom: table.names for dom, table in tables.items()}
     facts.relations = {name: sorted(set(tuples)) for name, tuples in rels.items()}
-    facts._var_reps = reps
+    facts.entry_ids = sorted(
+        tables["M"].ids[m.qualified] for m in program.entry_methods()
+    )
+    facts.var_reps = {
+        f"{method}:{var}": tables["V"].ids[key]
+        for (method, var), key in reps.items()
+    }
+    # Thread allocation sites, with the run() method each one starts.
+    type_names = facts.maps["T"]
+    for h, t in facts.relations["hT"]:
+        cls = type_names[t]
+        if cls == OBJECT or not hierarchy.is_thread_type(cls):
+            continue
+        run = hierarchy.resolve(cls, "run")
+        if run is not None:
+            facts.thread_sites.append((h, tables["M"].ids[run.qualified]))
     return facts

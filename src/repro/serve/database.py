@@ -416,29 +416,24 @@ class CompileState:
     ci_solver: Any
     cs_solver: Any
     escape_solver: Any
-    ie_tuples: List[tuple]
-    cs_c_size: int
-    escape_c_size: int
-    thread_sites: List[Tuple[int, int]]
-    max_paths: int
+
+    @property
+    def cs_c_size(self) -> int:
+        """Size of the context-sensitive solve's ``C`` domain."""
+        return _context_size(self.cs_solver, "vPC")
+
+    @property
+    def escape_c_size(self) -> int:
+        """Size of the escape solve's ``C`` (thread context) domain."""
+        return _context_size(self.escape_solver, "vPT")
 
 
-def _facts_meta(facts: Facts, thread_sites: Sequence[Tuple[int, int]]) -> Dict[str, Any]:
-    """Everything beyond ``maps``/``site_method``/``var_reps`` needed to
-    rebuild a solvable fact set from the database alone (no source)."""
-    return {
-        "relations": {
-            name: [list(t) for t in sorted(facts.relations[name])]
-            for name in sorted(facts.relations)
-        },
-        "max_arity": facts.max_arity,
-        "alloc_sites": {
-            str(m): sorted(sites) for m, sites in facts.alloc_sites.items()
-        },
-        "global_site": facts.global_site,
-        "entry_ids": sorted(facts.entry_method_ids()),
-        "thread_sites": [list(t) for t in thread_sites],
-    }
+def _context_size(solver, relation: str) -> int:
+    return next(
+        a.phys.size
+        for a in solver.relation(relation).attributes
+        if a.logical == "C"
+    )
 
 
 def _uncovered_variables(
@@ -474,7 +469,6 @@ def package_database(
     escape_verdicts: Dict[str, List[int]],
     *,
     max_paths: int,
-    thread_sites: Sequence[Tuple[int, int]],
     modref: bool = True,
     budget_class: Optional[str] = None,
     main: str = "Main",
@@ -534,25 +528,14 @@ def package_database(
             }
         )
 
-    var_index = {v: i for i, v in enumerate(facts.maps["V"])}
-    var_reps = {
-        f"{method}:{var}": var_index[rep]
-        for (method, var), rep in facts._var_reps.items()
-        if rep in var_index
-    }
-
-    program_meta: Dict[str, Any] = {
-        "facts_sha256": facts_digest(facts),
-        "entry": facts.program.entry.qualified,
-        "main": main,
-        "stats": facts.program.stats(),
-    }
+    meta: Dict[str, Any] = facts.db_meta()
+    program_meta = meta["program"]
+    program_meta["main"] = main
     if source_path is not None:
         program_meta["path"] = str(source_path)
     if source_sha256 is not None:
         program_meta["source_sha256"] = source_sha256
-
-    meta: Dict[str, Any] = {
+    meta.update({
         "format_version": FORMAT_VERSION,
         "tool": tool_meta(),
         # Provenance only (volatile, excluded from db_id): which kernel
@@ -560,16 +543,11 @@ def package_database(
         "backend": cs_solver.manager.backend_name,
         "num_vars": cs_solver.manager.num_vars,
         "relations": schema,
-        "maps": facts.maps,
-        "facts": _facts_meta(facts, thread_sites),
         "tuples": {"IE": [list(t) for t in sorted(ie_tuples)]},
         "escape": {
             key: sorted(escape_verdicts.get(key, ()))
             for key in ("escaped", "captured", "sync_needed", "sync_unneeded")
         },
-        "site_method": {str(i): m for i, m in facts.site_method.items()},
-        "var_reps": var_reps,
-        "program": program_meta,
         "config": {
             "algorithm": "algorithm5",
             "modref": modref,
@@ -587,7 +565,7 @@ def package_database(
                 k: round(v, 4) for k, v in (timings or {}).items()
             },
         },
-    }
+    })
     if budget_class:
         meta["config"]["budget_class"] = budget_class
     if provenance is not None:
@@ -639,7 +617,6 @@ def compile_database_with_state(
         ContextSensitiveAnalysis,
         ThreadEscapeAnalysis,
     )
-    from ..analysis.escape import thread_alloc_sites
 
     if facts is None:
         if program is None:
@@ -648,20 +625,13 @@ def compile_database_with_state(
     if budget is not None:
         budget.start()
 
-    # Compute once: for a FactSet rebuilt from a database the hierarchy
-    # is gone, so the sites travel as data instead.
-    thread_sites = getattr(facts, "thread_sites", None)
-    if thread_sites is None:
-        thread_sites = thread_alloc_sites(facts)
-    thread_sites = sorted(tuple(t) for t in thread_sites)
-
     timings: Dict[str, float] = {}
     t0 = time.monotonic()
     ci = ContextInsensitiveAnalysis(
         facts=facts,
         type_filtering=True,
         discover_call_graph=True,
-        budget=budget.share_deadline() if budget is not None else None,
+        budget=phase_budget(budget),
         backend=backend,
         optimize=optimize,
     ).run()
@@ -675,14 +645,7 @@ def compile_database_with_state(
         call_graph=graph,
         query_fragments=["query_modref"] if modref else (),
         order_spec=order_spec,
-        budget=(
-            budget.share_deadline(
-                node_budget=budget.node_budget,
-                max_iterations=budget.max_iterations,
-            )
-            if budget is not None
-            else None
-        ),
+        budget=phase_budget(budget, bounded=True),
         degrade=False,
         backend=backend,
         optimize=optimize,
@@ -693,26 +656,14 @@ def compile_database_with_state(
     esc = ThreadEscapeAnalysis(
         facts=facts,
         call_graph=graph,
-        budget=budget.share_deadline() if budget is not None else None,
+        budget=phase_budget(budget),
         backend=backend,
         optimize=optimize,
-        thread_sites=thread_sites,
     ).run()
     timings["escape_s"] = time.monotonic() - t0
-    escape_verdicts = {
-        "escaped": sorted(esc.escaped_heaps()),
-        "captured": sorted(esc.captured_heaps()),
-        "sync_needed": sorted(esc.needed_sync_vars()),
-        "sync_unneeded": sorted(esc.unneeded_sync_vars()),
-    }
 
-    db = package_database(
-        facts,
-        cs.solver,
-        ie_tuples,
-        escape_verdicts,
-        max_paths=cs.max_paths(),
-        thread_sites=thread_sites,
+    return finish_compile(
+        facts, ci.solver, ie_tuples, cs.solver, cs.max_paths(), esc,
         modref=modref,
         budget_class=budget_class,
         main=main,
@@ -721,21 +672,40 @@ def compile_database_with_state(
         timings=timings,
         provenance=provenance,
     )
-    state = CompileState(
-        ci_solver=ci.solver,
-        cs_solver=cs.solver,
-        escape_solver=esc.solver,
-        ie_tuples=ie_tuples,
-        cs_c_size=cs.numbering.context_domain_size(),
-        escape_c_size=next(
-            a.phys.size
-            for a in esc.solver.relation("vPT").attributes
-            if a.logical == "C"
-        ),
-        thread_sites=thread_sites,
-        max_paths=cs.max_paths(),
+
+
+def phase_budget(
+    budget: Optional[ResourceBudget], bounded: bool = False
+) -> Optional[ResourceBudget]:
+    """One compile phase's share of ``budget``: the shared deadline, and
+    for the context-sensitive phase (``bounded``) the node and iteration
+    limits as well."""
+    if budget is None:
+        return None
+    if not bounded:
+        return budget.share_deadline()
+    return budget.share_deadline(
+        node_budget=budget.node_budget, max_iterations=budget.max_iterations
     )
-    return db, state
+
+
+def finish_compile(
+    facts: Facts,
+    ci_solver,
+    ie_tuples: List[tuple],
+    cs_solver,
+    max_paths: int,
+    esc,
+    **options,
+) -> Tuple[PointsToDatabase, CompileState]:
+    """The tail of a compile and of a warm recompile: package the solved
+    phases (``options`` go to :func:`package_database`) and keep their
+    solvers for the fixpoint bundle."""
+    db = package_database(
+        facts, cs_solver, ie_tuples, esc.verdicts(), max_paths=max_paths,
+        **options,
+    )
+    return db, CompileState(ci_solver, cs_solver, esc.solver)
 
 
 def compile_database(

@@ -32,16 +32,17 @@ keeps every relation, so the reuse survives it.
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..analysis.base import load_datalog_source
+from ..analysis.context_sensitive import install_numbering
 from ..callgraph import call_graph_from_ie, number_call_graph
 from ..datalog import Solver, apply_domain_sizes, parse_program
 from ..datalog.ast import Atom, ProgramAST, RelationDecl, Rule, Variable
 from ..datalog.magic import magic_rewrite
 from ..datalog.relation import Relation
 from ..incremental.diff import FactDiffError
-from ..incremental.state import FactSet
+from ..ir.facts import Facts
 from ..runtime import ResourceBudget
 
 __all__ = ["DemandEvaluator", "DemandUnavailable"]
@@ -108,7 +109,7 @@ class DemandEvaluator:
     ) -> None:
         meta = db.meta
         try:
-            facts = FactSet.from_db_meta(meta, name=db.path or "<db>")
+            facts = Facts.from_db_meta(meta, name=db.path or "<db>")
         except FactDiffError as err:
             raise DemandUnavailable(str(err))
         ie = sorted(tuple(t) for t in db.tuples.get("IE", ()))
@@ -122,7 +123,7 @@ class DemandEvaluator:
         # Re-derive the compile-time context numbering from the saved
         # call graph (Algorithm 4 is deterministic in its inputs).
         graph = call_graph_from_ie(facts, ie)
-        numbering = number_call_graph(graph, entries=facts.entry_method_ids())
+        numbering = number_call_graph(graph, entries=facts.entry_ids)
         recorded_paths = meta.get("paths")
         if recorded_paths is not None and numbering.max_paths() != recorded_paths:
             raise DemandUnavailable(
@@ -162,7 +163,7 @@ class DemandEvaluator:
         for decl in rewritten.program.relations.values():
             if decl.is_input and decl.name in facts.relations:
                 solver.add_tuples(decl.name, facts.relations[decl.name])
-        self._install_numbering(solver, numbering, facts)
+        install_numbering(solver, numbering, facts)
         self.solver = solver
         # Magic tuples already pushed to fixpoint, per goal relation.
         self._seeded: Dict[str, Set[tuple]] = {}
@@ -191,32 +192,6 @@ class DemandEvaluator:
                 head=Atom(relation="vP", terms=(v, h)),
                 body=(Atom(relation="vPC", terms=(c, v, h)),),
             )
-        )
-
-    @staticmethod
-    def _install_numbering(solver: Solver, numbering, facts: FactSet) -> None:
-        # Mirrors ContextSensitiveAnalysis._install_numbering.
-        iec = solver.relation("IEC")
-        entry = facts.method_id(facts.program.entry.qualified)
-        node = numbering.build_iec(
-            solver.manager,
-            iec.attribute("caller").phys,
-            iec.attribute("invoke").phys,
-            iec.attribute("callee").phys,
-            iec.attribute("tgt").phys,
-            alloc_sites=facts.alloc_sites,
-            global_site=facts.global_site,
-            global_method=entry,
-        )
-        solver.set_node("IEC", node)
-        mc = solver.relation("MC")
-        solver.set_node(
-            "MC",
-            numbering.build_mc(
-                solver.manager,
-                mc.attribute("context").phys,
-                mc.attribute("method").phys,
-            ),
         )
 
     # ------------------------------------------------------------------

@@ -14,7 +14,7 @@ dumps :meth:`Metrics.render` on shutdown.
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 __all__ = ["Metrics", "percentile"]
 
@@ -31,14 +31,40 @@ def percentile(sorted_samples: List[float], q: float) -> float:
     return sorted_samples[rank]
 
 
+class _Reservoir:
+    """The last ``_RESERVOIR`` latency observations, as a ring buffer."""
+
+    __slots__ = ("samples", "next_slot")
+
+    def __init__(self) -> None:
+        self.samples: List[float] = []
+        self.next_slot = 0
+
+    def add(self, seconds: float) -> None:
+        if len(self.samples) < _RESERVOIR:
+            self.samples.append(seconds)
+        else:
+            self.samples[self.next_slot] = seconds
+            self.next_slot = (self.next_slot + 1) % _RESERVOIR
+
+    def summary(self) -> Dict[str, Any]:
+        ordered = sorted(self.samples)
+        return {
+            "count": len(ordered),
+            "p50": round(percentile(ordered, 50), 6),
+            "p95": round(percentile(ordered, 95), 6),
+            "p99": round(percentile(ordered, 99), 6),
+        }
+
+
 class _KindStats:
-    """Counters and a latency ring buffer for one query kind."""
+    """Counters and latency reservoirs for one query kind."""
 
     __slots__ = (
         "requests", "errors", "cache_hits", "cache_misses", "computes",
-        "total_seconds", "samples", "next_slot",
+        "total_seconds", "latency",
         "demand_hits", "demand_misses", "demand_budget_exceeded",
-        "demand_samples", "demand_next_slot",
+        "demand_latency",
     )
 
     def __init__(self) -> None:
@@ -48,40 +74,16 @@ class _KindStats:
         self.cache_misses = 0
         self.computes = 0
         self.total_seconds = 0.0
-        self.samples: List[float] = []
-        self.next_slot = 0
+        self.latency = _Reservoir()
         # Demand evaluation outcomes: hits answered goal-directedly,
         # misses that fell back to ``demand-unavailable``, and attempts
         # that blew their per-query budget.
         self.demand_hits = 0
         self.demand_misses = 0
         self.demand_budget_exceeded = 0
-        self.demand_samples: List[float] = []
-        self.demand_next_slot = 0
-
-    def observe(self, seconds: float) -> None:
-        self.total_seconds += seconds
-        if len(self.samples) < _RESERVOIR:
-            self.samples.append(seconds)
-        else:
-            self.samples[self.next_slot] = seconds
-            self.next_slot = (self.next_slot + 1) % _RESERVOIR
-
-    def observe_demand(self, seconds: float, outcome: str) -> None:
-        if outcome == "hit":
-            self.demand_hits += 1
-        elif outcome == "budget":
-            self.demand_budget_exceeded += 1
-        else:
-            self.demand_misses += 1
-        if len(self.demand_samples) < _RESERVOIR:
-            self.demand_samples.append(seconds)
-        else:
-            self.demand_samples[self.demand_next_slot] = seconds
-            self.demand_next_slot = (self.demand_next_slot + 1) % _RESERVOIR
+        self.demand_latency = _Reservoir()
 
     def snapshot(self) -> Dict[str, Any]:
-        ordered = sorted(self.samples)
         out = {
             "requests": self.requests,
             "errors": self.errors,
@@ -89,25 +91,14 @@ class _KindStats:
             "cache_misses": self.cache_misses,
             "computes": self.computes,
             "total_seconds": round(self.total_seconds, 6),
-            "latency_s": {
-                "count": len(ordered),
-                "p50": round(percentile(ordered, 50), 6),
-                "p95": round(percentile(ordered, 95), 6),
-                "p99": round(percentile(ordered, 99), 6),
-            },
+            "latency_s": self.latency.summary(),
         }
-        if self.demand_samples or self.demand_misses:
-            demand_ordered = sorted(self.demand_samples)
+        if self.demand_latency.samples:
             out["demand"] = {
                 "hits": self.demand_hits,
                 "misses": self.demand_misses,
                 "budget_exceeded": self.demand_budget_exceeded,
-                "latency_s": {
-                    "count": len(demand_ordered),
-                    "p50": round(percentile(demand_ordered, 50), 6),
-                    "p95": round(percentile(demand_ordered, 95), 6),
-                    "p99": round(percentile(demand_ordered, 99), 6),
-                },
+                "latency_s": self.demand_latency.summary(),
             }
         return out
 
@@ -185,14 +176,22 @@ class Metrics:
                 stats.cache_misses += 1
             if computed:
                 stats.computes += 1
-            stats.observe(seconds)
+            stats.total_seconds += seconds
+            stats.latency.add(seconds)
 
     def observe_demand(self, kind: str, seconds: float, outcome: str) -> None:
         """One demand evaluation for ``kind``: ``outcome`` is ``"hit"``
         (answered goal-directedly), ``"miss"`` (demand unavailable), or
         ``"budget"`` (the attempt blew its per-query budget)."""
         with self._lock:
-            self._kind(kind).observe_demand(seconds, outcome)
+            stats = self._kind(kind)
+            if outcome == "hit":
+                stats.demand_hits += 1
+            elif outcome == "budget":
+                stats.demand_budget_exceeded += 1
+            else:
+                stats.demand_misses += 1
+            stats.demand_latency.add(seconds)
 
     def protocol_error(self, code: str) -> None:
         with self._lock:
@@ -218,13 +217,6 @@ class Metrics:
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
-
-    def cache_hit_rate(self) -> float:
-        with self._lock:
-            hits = sum(s.cache_hits for s in self._kinds.values())
-            misses = sum(s.cache_misses for s in self._kinds.values())
-        total = hits + misses
-        return hits / total if total else 0.0
 
     def snapshot(self) -> Dict[str, Any]:
         with self._lock:

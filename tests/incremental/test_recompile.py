@@ -224,10 +224,15 @@ class TestFixpointBundle:
     def test_bundle_with_retired_meta_keys_still_warms(
         self, baseline_db, bundle_path, factset, tmp_path
     ):
-        """Bundles once repeated the mod-ref flag, the variable order and
-        the facts digest, which a recompile reads from the database; such
-        a bundle still loads and warm-starts."""
-        retired = {"modref", "order_spec", "facts_sha256"}
+        """Bundles once repeated the mod-ref flag, the variable order, the
+        facts digest, the path count and the thread sites, which a
+        recompile reads from the database; such a bundle still loads and
+        warm-starts, and its copies are ignored (the stale ones written
+        here would change the answer)."""
+        retired = {
+            "modref", "order_spec", "facts_sha256", "max_paths",
+            "thread_sites",
+        }
         lines = bundle_path.read_text().splitlines()
         meta = json.loads(lines[1][len("meta "):])
         assert not retired & set(meta)
@@ -235,6 +240,8 @@ class TestFixpointBundle:
             modref=True,
             order_spec=baseline_db.meta["config"]["order_spec"],
             facts_sha256=baseline_db.meta["program"]["facts_sha256"],
+            max_paths=0,
+            thread_sites=[[0, 0]],
         )
         lines[1] = "meta " + json.dumps(meta, sort_keys=True, separators=(",", ":"))
         old = tmp_path / "old.fix"

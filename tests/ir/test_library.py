@@ -4,6 +4,7 @@ import pytest
 
 from repro.analysis import ContextInsensitiveAnalysis, ContextSensitiveAnalysis
 from repro.ir import extract_facts, parse_program
+from repro.ir.types import TypeHierarchy
 
 
 def analyze_ci(source):
@@ -179,5 +180,4 @@ class Main {
         prog = parse_program(
             "class Main { static method main() { e = new RuntimeException; } }"
         )
-        facts = extract_facts(prog)
-        assert facts.hierarchy.is_assignable("Exception", "RuntimeException")
+        assert TypeHierarchy(prog).is_assignable("Exception", "RuntimeException")

@@ -13,6 +13,10 @@ one ``db_id``:
 
 Within one process all of them build their solvers from the same
 memoized plans, so this is also the end-to-end fence of the plan memo.
+
+The fact set a recompile starts from is rebuilt from the database's
+meta; it must equal the one extracted from source, field for field, and
+compile to the same database.
 """
 
 import tempfile
@@ -29,6 +33,7 @@ from repro.incremental import (
     recompile_database,
     write_fixpoint_bundle,
 )
+from repro.ir.facts import Facts, extract_facts
 from repro.serve import compile_database, compile_database_with_state
 
 PROGRAMS = [
@@ -94,3 +99,25 @@ def test_every_path_gives_one_db_id(index, budget_class, picks):
     assert warm.modes["cs"] == "delta" and cold.modes["cs"] == "cold"
     assert hop.modes["cs"] == "delta"
     assert warm.db_id == cold.db_id == chained.db_id == fresh.db_id
+
+
+@given(
+    seed=st.integers(0, 10**4),
+    threads=st.integers(0, 2),
+    flags=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+    budget_class=st.sampled_from(BUDGET_CLASSES),
+)
+@settings(max_examples=6, deadline=None)
+def test_source_and_meta_give_one_fact_set(seed, threads, flags, budget_class):
+    exceptions, statics, clinit = flags
+    program = generate_program(WorkloadParams(
+        seed=seed, layers=3, threads=threads, use_library=False,
+        use_exceptions=exceptions, use_statics=statics, use_clinit=clinit,
+    ))
+    db = compile_database(program, budget_class=budget_class)
+    rebuilt = Facts.from_db_meta(db.meta)
+    assert FactSet is Facts
+    assert rebuilt == extract_facts(program)
+    assert compile_database(
+        facts=rebuilt, budget_class=budget_class
+    ).db_id == db.db_id
