@@ -10,9 +10,9 @@ of the time, then hand it to the serve layer's hot-swap reload:
 * :mod:`repro.incremental.diff` — the ``FactDiff`` edit format and its
   typed validation errors,
 * :mod:`repro.incremental.state` — the edit semantics
-  (:class:`AppliedDiff`) of the fact set a recompile rebuilds from a
-  database's meta, :class:`~repro.ir.facts.Facts` (``FactSet`` is the
-  same class),
+  (:class:`AppliedDiff`) of the fact set a recompile reads from the
+  database, :class:`~repro.ir.facts.Facts` (``FactSet`` is the same
+  class),
 * :mod:`repro.incremental.fixpoint` — the ``.ptdb.fix`` bundle holding
   all three solvers' checkpointed fixpoints for warm starts,
 * :mod:`repro.incremental.driver` — ``recompile_database``, the

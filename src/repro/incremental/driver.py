@@ -162,7 +162,7 @@ def recompile_database(
     if budget is not None:
         budget.start()
 
-    base_facts = Facts.from_db_meta(db.meta, name=db.path or "<db>")
+    base_facts = db.facts
     parent_facts_sha = db.meta.get("program", {}).get("facts_sha256")
     diff.check_baseline(db.db_id, parent_facts_sha)
     resolved = diff.resolve(base_facts)

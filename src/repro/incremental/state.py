@@ -2,10 +2,10 @@
 
 The incremental recompiler starts from a ``.ptdb`` file, not from
 source — re-extraction (and the program text itself) is unnecessary for
-relation-level edits.  Its fact set is :class:`~repro.ir.facts.Facts`,
-rebuilt by :meth:`~repro.ir.facts.Facts.from_db_meta` from the meta
-record the compile wrote; ``FactSet`` is that class under its historical
-name.
+relation-level edits.  Its fact set is the database's
+:class:`~repro.ir.facts.Facts` (``db.facts``, rebuilt once at load from
+the meta record the compile wrote); ``FactSet`` is that class under its
+historical name.
 
 :meth:`~repro.ir.facts.Facts.apply_diff` produces a *new* fact set (the
 baseline stays usable for old-versus-new comparisons) together with an

@@ -114,7 +114,8 @@ class Facts:
 
     :func:`extract_facts` fills it from a program; :meth:`from_db_meta`
     rebuilds it from the meta record :meth:`db_meta` wrote into a
-    database, so recompiles and demand evaluation need no source.
+    database (once, when the database loads), so the serve engine,
+    recompiles and demand evaluation need no source.
     """
 
     maps: Dict[str, List[str]] = field(default_factory=dict)
@@ -215,8 +216,7 @@ class Facts:
             raise FactDiffError(
                 f"{name}: database has no embedded fact tables "
                 f"(meta['facts']) — it was written by an older tool; "
-                f"re-run 'repro compile-db' to produce a recompilable "
-                f"database"
+                f"re-run 'repro compile-db'"
             )
         program = meta.get("program", {})
         return cls(

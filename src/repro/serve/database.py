@@ -10,8 +10,10 @@ answer Section 5 style questions *without re-running the solver*:
   line-numbered corruption diagnostics),
 * small solved relations as plain tuple lists (``IE`` invocation edges,
   the escape analysis verdicts) — cheaper as JSON than as BDD payloads,
-* the domain name maps, variable-representative table, and site-to-method
-  index needed to translate between names and ordinals,
+* the fact set it was compiled from (:class:`~repro.ir.facts.Facts`:
+  domain name maps, input relations, variable-representative table,
+  site-to-method index), which translates between names and ordinals and
+  feeds demand evaluation and recompiles without any source,
 * provenance: format and tool versions, a program digest, the analysis
   configuration, and solver statistics.
 
@@ -28,7 +30,8 @@ Loading is O(file): the payload digest is verified, a fresh BDD manager
 is built with the recorded variable count, the physical domains are
 rebuilt from their recorded level blocks, and the payload is replayed
 through the manager's unique table.  Version mismatches (format or tool
-major version) are rejected with :class:`InvalidInputError` *before* any
+major version) and a meta without the embedded fact set (written by an
+older tool) are rejected with :class:`InvalidInputError` *before* any
 node is rebuilt.
 """
 
@@ -92,13 +95,16 @@ class PointsToDatabase:
         Name -> :class:`~repro.datalog.relation.Relation` for the BDD
         payload relations (``vPC``, ``vP``, ``hP``, and ``mod``/``ref``
         when compiled with mod-ref).
-    maps:
-        Domain name lists (``V``, ``H``, ``M``, ``I``, ``F``, ``T``, ...).
+    facts:
+        The :class:`~repro.ir.facts.Facts` the database was compiled
+        from: domain name maps, input relations, site and variable
+        tables.  Every name lookup goes through it.
     tuples:
         Small relations stored as plain tuple lists (``IE``).
     escape:
         The escape analysis verdicts: ``escaped``/``captured`` heap
-        ordinals and ``sync_needed``/``sync_unneeded`` variable ordinals.
+        ordinals and ``sync_needed``/``sync_unneeded`` variable ordinals
+        (the meta's sorted lists).
     meta:
         The full parsed (or composed) meta record.
     db_id:
@@ -109,14 +115,14 @@ class PointsToDatabase:
         self,
         manager: BDD,
         relations: Dict[str, Relation],
-        maps: Dict[str, List[str]],
+        facts: Facts,
         meta: Dict[str, Any],
         db_id: str,
         path: Optional[str] = None,
     ) -> None:
         self.manager = manager
         self.relations = relations
-        self.maps = maps
+        self.facts = facts
         self.meta = meta
         self.db_id = db_id
         self.path = path
@@ -124,29 +130,20 @@ class PointsToDatabase:
             name: [tuple(t) for t in rows]
             for name, rows in meta.get("tuples", {}).items()
         }
-        self.escape: Dict[str, List[int]] = {
-            key: list(values) for key, values in meta.get("escape", {}).items()
-        }
-        self.site_method: Dict[int, int] = {
-            int(site): int(method)
-            for site, method in meta.get("site_method", {}).items()
-        }
-        self.var_reps: Dict[str, int] = {
-            spec: int(v) for spec, v in meta.get("var_reps", {}).items()
-        }
-        self._indexes: Dict[str, Dict[str, int]] = {}
+        self.escape: Dict[str, List[int]] = meta.get("escape", {})
         self._uncovered_vars: Optional[Set[int]] = None
         # (key, payload) of the last dump; see :meth:`_payload`.
         self._dumped: Optional[Tuple[tuple, _Payload]] = None
 
     # ------------------------------------------------------------------
-    # Lookup helpers
+    # Lookup helpers: names resolve through the fact set, and a miss
+    # raises InvalidInputError
     # ------------------------------------------------------------------
 
     def relation(self, name: str) -> Relation:
         rel = self.relations.get(name)
         if rel is None:
-            raise KeyError(
+            raise InvalidInputError(
                 f"database has no relation {name!r} "
                 f"(has {sorted(self.relations)})"
             )
@@ -155,35 +152,28 @@ class PointsToDatabase:
     def has_relation(self, name: str) -> bool:
         return name in self.relations
 
-    def _index(self, domain: str) -> Dict[str, int]:
-        idx = self._indexes.get(domain)
-        if idx is None:
-            idx = self._indexes[domain] = {
-                name: i for i, name in enumerate(self.maps.get(domain, ()))
-            }
-        return idx
+    @property
+    def maps(self) -> Dict[str, List[str]]:
+        return self.facts.maps
+
+    @property
+    def var_reps(self) -> Dict[str, int]:
+        return self.facts.var_reps
+
+    @property
+    def site_method(self) -> Dict[int, int]:
+        return self.facts.site_method
 
     def id_of(self, domain: str, name: str) -> int:
-        ordinal = self._index(domain).get(name)
-        if ordinal is None:
-            raise KeyError(f"no element {name!r} in domain {domain}")
-        return ordinal
-
-    def name_of(self, domain: str, ordinal: int) -> str:
-        return self.maps[domain][ordinal]
+        return self.facts.id_of(domain, name)
 
     def var_id(self, spec: str) -> int:
         """Ordinal of ``Method.name:var``, following copy factoring."""
-        ordinal = self.var_reps.get(spec)
-        if ordinal is None:
-            raise KeyError(f"no variable {spec!r} in the database")
-        return ordinal
+        method, _, var = spec.rpartition(":")
+        return self.facts.var_id(method, var)
 
     def method_id(self, qualified: str) -> int:
-        try:
-            return self.id_of("M", qualified)
-        except KeyError:
-            raise KeyError(f"no method {qualified!r} in the database")
+        return self.facts.method_id(qualified)
 
     @property
     def budget_class(self) -> Optional[str]:
@@ -203,10 +193,7 @@ class PointsToDatabase:
         if pattern is None:
             return True
         if self._uncovered_vars is None:
-            mv = self.meta.get("facts", {}).get("relations", {}).get("mV", ())
-            self._uncovered_vars = _uncovered_variables(
-                self.maps.get("M", ()), mv, pattern
-            )
+            self._uncovered_vars = _uncovered_variables(self.facts, pattern)
         return ordinal not in self._uncovered_vars
 
     def summary(self) -> Dict[str, Any]:
@@ -276,13 +263,18 @@ class PointsToDatabase:
         file format is backend-agnostic, so any backend can load any
         database and the resulting ``db_id`` is identical).  Raises
         :class:`InvalidInputError` for anything wrong with the file: bad
-        magic, version mismatch, checksum failure, truncation, or a
-        corrupt BDD payload (with the offending line number).
+        magic, version mismatch, checksum failure, truncation, no
+        embedded fact set (a file from an older tool), or a corrupt BDD
+        payload (with the offending line number).
         """
         if faults.armed:
             faults.fire("serve.db_load")
         target = pathlib.Path(path)
         meta, payload, digest = _read_envelope(target)
+        try:
+            facts = Facts.from_db_meta(meta, name=str(target))
+        except (AttributeError, KeyError, TypeError, ValueError) as err:
+            raise InvalidInputError(f"{target}: malformed fact set in meta: {err!r}")
         num_vars = int(meta.get("num_vars", 0))
         manager = create_kernel(num_vars=num_vars, backend=backend)
         domains: Dict[str, Domain] = {}
@@ -320,7 +312,7 @@ class PointsToDatabase:
         return cls(
             manager=manager,
             relations=relations,
-            maps={dom: list(names) for dom, names in meta.get("maps", {}).items()},
+            facts=facts,
             meta=meta,
             db_id=db_id,
             path=str(target),
@@ -436,11 +428,7 @@ def _context_size(solver, relation: str) -> int:
     )
 
 
-def _uncovered_variables(
-    method_names: Sequence[str],
-    mv_tuples: Sequence[Sequence[int]],
-    pattern: str,
-) -> Set[int]:
+def _uncovered_variables(facts: Facts, pattern: str) -> Set[int]:
     """Variable ordinals outside a ``--budget-class`` method pattern.
 
     A variable is covered when some method whose qualified name matches
@@ -450,12 +438,12 @@ def _uncovered_variables(
     """
     matching = {
         i
-        for i, name in enumerate(method_names)
+        for i, name in enumerate(facts.maps.get("M", ()))
         if fnmatch.fnmatchcase(name, pattern)
     }
     member: Set[int] = set()
     covered: Set[int] = set()
-    for m, v in mv_tuples:
+    for m, v in facts.relations.get("mV", ()):
         member.add(v)
         if m in matching:
             covered.add(v)
@@ -498,9 +486,7 @@ def package_database(
             relations[name] = cs_solver.relation(name)
 
     if budget_class:
-        uncovered = _uncovered_variables(
-            facts.maps["M"], facts.relations.get("mV", ()), budget_class
-        )
+        uncovered = _uncovered_variables(facts, budget_class)
         manager = cs_solver.manager
         for name in ("vPC", "vP"):
             rel = relations.get(name)
@@ -573,7 +559,7 @@ def package_database(
     db = PointsToDatabase(
         manager=cs_solver.manager,
         relations=relations,
-        maps=facts.maps,
+        facts=facts,
         meta=meta,
         db_id="",
     )

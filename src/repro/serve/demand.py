@@ -12,8 +12,8 @@ compile time.  Two kinds of misses used to be terminal:
 The :class:`DemandEvaluator` closes both by running a *goal-directed*
 subset of the paper's Algorithm 5 (+ mod-ref fragment) rules: the
 program is magic-sets rewritten (:mod:`repro.datalog.magic`) for the
-four goal shapes the serve engine needs, the embedded fact tables
-(``meta["facts"]``) rebuild the inputs without any source program, the
+four goal shapes the serve engine needs, the database's fact set
+(``db.facts``) supplies the inputs without any source program, the
 saved ``IE`` tuples re-derive the context numbering (identical to the
 compile-time numbering — same Algorithm 4, same inputs; checked against
 ``meta["paths"]``), and each query seeds the goal's magic relation with
@@ -41,8 +41,6 @@ from ..datalog import Solver, apply_domain_sizes, parse_program
 from ..datalog.ast import Atom, ProgramAST, RelationDecl, Rule, Variable
 from ..datalog.magic import magic_rewrite
 from ..datalog.relation import Relation
-from ..incremental.diff import FactDiffError
-from ..ir.facts import Facts
 from ..runtime import ResourceBudget
 
 __all__ = ["DemandEvaluator", "DemandUnavailable"]
@@ -108,16 +106,8 @@ class DemandEvaluator:
         optimize: Optional[bool] = None,
     ) -> None:
         meta = db.meta
-        try:
-            facts = Facts.from_db_meta(meta, name=db.path or "<db>")
-        except FactDiffError as err:
-            raise DemandUnavailable(str(err))
+        facts = db.facts
         ie = sorted(tuple(t) for t in db.tuples.get("IE", ()))
-        if not facts.relations:
-            raise DemandUnavailable(
-                "database has no embedded input relations; re-run "
-                "'repro compile-db' with a current tool"
-            )
         self.db = db
         self.facts = facts
         # Re-derive the compile-time context numbering from the saved

@@ -42,6 +42,7 @@ from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..runtime import (
+    InvalidInputError,
     NodeBudgetExceeded,
     ResourceBudget,
     SolverTimeout,
@@ -54,6 +55,9 @@ from .metrics import Metrics
 __all__ = ["QueryEngine", "QueryError", "QUERY_KINDS"]
 
 QUERY_KINDS = ("points-to", "aliases", "mod-ref", "callers", "escape")
+
+# What an argument of each resolvable domain is called in error messages.
+_NOUNS = {"V": "variable", "M": "method", "H": "heap object"}
 
 _DEFAULT_CACHE_SIZE = 1024
 # Decode loops check the deadline every this many tuples.
@@ -124,6 +128,8 @@ class QueryEngine:
         self._inflight: Dict[tuple, _InFlight] = {}
         self._inflight_lock = threading.Lock()
         self._callers_index: Optional[Dict[int, List[int]]] = None
+        self._escaped = frozenset(db.escape.get("escaped", ()))
+        self._captured = frozenset(db.escape.get("captured", ()))
 
     # ------------------------------------------------------------------
     # Public entry point
@@ -157,6 +163,10 @@ class QueryEngine:
                 str(kind), time.monotonic() - start,
                 cache_hit=False, computed=False, error=True,
             )
+            if not isinstance(kind, str):
+                raise QueryError(
+                    "bad-argument", "query request lacks a string 'kind'"
+                )
             raise QueryError(
                 "unknown-query",
                 f"unknown query kind {kind!r} (have {', '.join(QUERY_KINDS)})",
@@ -273,22 +283,14 @@ class QueryEngine:
         ``timeout_s`` and ``no_cache`` and the batch's ``deadline``.
         Returns one entry per request, in order: a result dict on
         success or the :class:`QueryError` the item raised.  The batch
-        itself never raises for per-item failures.
+        itself never raises for per-item failures; the items' fields
+        are already validated (:func:`~repro.serve.protocol.check_query`).
         """
         out: List[Any] = []
         for sub in requests:
-            kind = sub.get("kind")
-            if not isinstance(kind, str):
-                self.metrics.observe_query(
-                    str(kind), 0.0, cache_hit=False, computed=False, error=True,
-                )
-                out.append(QueryError(
-                    "bad-argument", "query request lacks a string 'kind'"
-                ))
-                continue
             try:
                 out.append(self.query(
-                    kind,
+                    sub.get("kind"),
                     sub.get("args") or {},
                     timeout=sub.get("timeout_s"),
                     deadline=deadline,
@@ -453,62 +455,47 @@ class QueryEngine:
                 "bad-argument", f"unexpected arguments {sorted(args)}"
             )
 
-    def _resolve_var(self, spec: Any) -> int:
-        """A variable: ``"Method.m:var"`` name or a V ordinal."""
-        if isinstance(spec, int):
-            if not 0 <= spec < len(self.db.maps.get("V", ())):
-                raise QueryError("not-found", f"variable ordinal {spec} out of range")
-            return spec
-        if not isinstance(spec, str):
-            raise QueryError("bad-argument", f"variable must be str or int, got {spec!r}")
-        try:
-            return self.db.var_id(spec)
-        except KeyError:
-            pass
-        # Accept a raw representative name from the V domain too.
-        try:
-            return self.db.id_of("V", spec)
-        except KeyError:
-            raise QueryError("not-found", f"unknown variable {spec!r}")
+    def _resolve(self, domain: str, spec: Any) -> int:
+        """An element of ``V``, ``M`` or ``H``: its name or its ordinal.
 
-    def _resolve_method(self, spec: Any) -> int:
+        A variable is named ``"Method.m:var"`` (following copy
+        factoring) or by its representative's name in the V domain.
+        """
+        noun = _NOUNS[domain]
+        if isinstance(spec, bool) or not isinstance(spec, (int, str)):
+            raise QueryError("bad-argument", f"{noun} must be str or int, got {spec!r}")
+        facts = self.db.facts
         if isinstance(spec, int):
-            if not 0 <= spec < len(self.db.maps.get("M", ())):
-                raise QueryError("not-found", f"method ordinal {spec} out of range")
+            if not 0 <= spec < len(facts.maps.get(domain, ())):
+                raise QueryError("not-found", f"{noun} ordinal {spec} out of range")
             return spec
-        if not isinstance(spec, str):
-            raise QueryError("bad-argument", f"method must be str or int, got {spec!r}")
+        if domain == "V" and spec in facts.var_reps:
+            return facts.var_reps[spec]
         try:
-            return self.db.method_id(spec)
-        except KeyError:
-            raise QueryError("not-found", f"unknown method {spec!r}")
+            return facts.id_of(domain, spec)
+        except InvalidInputError:
+            raise QueryError("not-found", f"unknown {noun} {spec!r}")
 
-    def _resolve_heap(self, spec: Any) -> int:
-        if isinstance(spec, int):
-            if not 0 <= spec < len(self.db.maps.get("H", ())):
-                raise QueryError("not-found", f"heap ordinal {spec} out of range")
-            return spec
-        if not isinstance(spec, str):
-            raise QueryError("bad-argument", f"heap must be str or int, got {spec!r}")
-        try:
-            return self.db.id_of("H", spec)
-        except KeyError:
-            raise QueryError("not-found", f"unknown heap object {spec!r}")
+    @staticmethod
+    def _context(args: Dict[str, Any]) -> Optional[int]:
+        """The optional ``context`` argument: a non-negative int."""
+        context = args.pop("context", None)
+        if context is not None and (
+            isinstance(context, bool) or not isinstance(context, int) or context < 0
+        ):
+            raise QueryError(
+                "bad-argument", f"context must be a non-negative int, got {context!r}"
+            )
+        return context
 
     # ------------------------------------------------------------------
     # Evaluators (called under _eval_lock)
     # ------------------------------------------------------------------
 
     def _eval_points_to(self, args: Dict[str, Any], budget) -> Dict[str, Any]:
-        v = self._resolve_var(self._need(args, "variable"))
-        context = args.pop("context", None)
+        v = self._resolve("V", self._need(args, "variable"))
+        context = self._context(args)
         self._reject_extras(args)
-        if context is not None and (
-            not isinstance(context, int) or context < 0
-        ):
-            raise QueryError(
-                "bad-argument", f"context must be a non-negative int, got {context!r}"
-            )
         heaps = self.db.maps["H"]
         demand = not self.db.covers_variable(v)
         if demand:
@@ -536,8 +523,8 @@ class QueryEngine:
         }
 
     def _eval_aliases(self, args: Dict[str, Any], budget) -> Dict[str, Any]:
-        v1 = self._resolve_var(self._need(args, "variable1"))
-        v2 = self._resolve_var(self._need(args, "variable2"))
+        v1 = self._resolve("V", self._need(args, "variable1"))
+        v2 = self._resolve("V", self._need(args, "variable2"))
         self._reject_extras(args)
         heaps = self.db.maps["H"]
         demand = not (
@@ -578,13 +565,9 @@ class QueryEngine:
         }
 
     def _eval_mod_ref(self, args: Dict[str, Any], budget) -> Dict[str, Any]:
-        m = self._resolve_method(self._need(args, "method"))
-        context = args.pop("context", None)
+        m = self._resolve("M", self._need(args, "method"))
+        context = self._context(args)
         self._reject_extras(args)
-        if context is not None and (not isinstance(context, int) or context < 0):
-            raise QueryError(
-                "bad-argument", f"context must be a non-negative int, got {context!r}"
-            )
         heaps = self.db.maps["H"]
         fields = self.db.maps["F"]
 
@@ -629,7 +612,7 @@ class QueryEngine:
         }
 
     def _eval_callers(self, args: Dict[str, Any], budget) -> Dict[str, Any]:
-        m = self._resolve_method(self._need(args, "method"))
+        m = self._resolve("M", self._need(args, "method"))
         self._reject_extras(args)
         index = self._callers_index
         if index is None:
@@ -661,10 +644,10 @@ class QueryEngine:
         }
 
     def _eval_escape(self, args: Dict[str, Any], budget) -> Dict[str, Any]:
-        h = self._resolve_heap(self._need(args, "heap"))
+        h = self._resolve("H", self._need(args, "heap"))
         self._reject_extras(args)
-        escaped = h in set(self.db.escape.get("escaped", ()))
-        captured = h in set(self.db.escape.get("captured", ()))
+        escaped = h in self._escaped
+        captured = h in self._captured
         if escaped:
             verdict = "escaped"
         elif captured:

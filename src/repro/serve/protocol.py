@@ -19,7 +19,9 @@ Verbs:
 ``batch``
     ``requests`` holds a list of query request objects; the response's
     ``results`` list answers them in order (individual failures become
-    error objects in-place, the batch itself still succeeds).
+    error objects in-place, the batch itself still succeeds).  Each
+    entry's fields are validated like a ``query`` request's, so a
+    malformed entry answers ``invalid-request`` in its own slot.
 ``stats``
     Server metrics snapshot plus engine cache occupancy.
 ``ping``
@@ -71,6 +73,7 @@ __all__ = [
     "MAX_BATCH",
     "ERROR_CODES",
     "ProtocolError",
+    "check_query",
     "encode",
     "decode_request",
     "error_response",
@@ -161,20 +164,7 @@ def decode_request(line: bytes) -> Dict[str, Any]:
             "unknown-verb", f"unknown verb {verb!r} (have {', '.join(VERBS)})"
         )
     if verb == "query":
-        if "kind" in obj and not isinstance(obj["kind"], str):
-            raise ProtocolError("invalid-request", "'kind' must be a string")
-        if "args" in obj and not isinstance(obj["args"], dict):
-            raise ProtocolError("invalid-request", "'args' must be an object")
-        if "timeout_s" in obj and not isinstance(obj["timeout_s"], (int, float)):
-            raise ProtocolError("invalid-request", "'timeout_s' must be a number")
-        if "deadline_ms" in obj:
-            deadline = obj["deadline_ms"]
-            if not isinstance(deadline, (int, float)) or isinstance(deadline, bool) \
-                    or deadline < 0:
-                raise ProtocolError(
-                    "invalid-request",
-                    "'deadline_ms' must be a non-negative number",
-                )
+        check_query(obj)
     if verb == "reload":
         if "path" in obj and not isinstance(obj["path"], str):
             raise ProtocolError("invalid-request", "'path' must be a string")
@@ -192,6 +182,31 @@ def decode_request(line: bytes) -> Dict[str, Any]:
                 f"batch of {len(requests)} exceeds the limit of {MAX_BATCH}",
             )
     return obj
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def check_query(obj: Any) -> None:
+    """Validate the fields of one query request: a ``query`` verb or one
+    entry of a ``batch``.  Raises an ``invalid-request``
+    :class:`ProtocolError`; the arguments' values are the engine's to
+    check."""
+    if not isinstance(obj, dict):
+        raise ProtocolError("invalid-request", "batch entry must be an object")
+    if "kind" in obj and not isinstance(obj["kind"], str):
+        raise ProtocolError("invalid-request", "'kind' must be a string")
+    if "args" in obj and not isinstance(obj["args"], dict):
+        raise ProtocolError("invalid-request", "'args' must be an object")
+    if "timeout_s" in obj and not _is_number(obj["timeout_s"]):
+        raise ProtocolError("invalid-request", "'timeout_s' must be a number")
+    if "deadline_ms" in obj and not (
+        _is_number(obj["deadline_ms"]) and obj["deadline_ms"] >= 0
+    ):
+        raise ProtocolError(
+            "invalid-request", "'deadline_ms' must be a non-negative number"
+        )
 
 
 class LineReader:

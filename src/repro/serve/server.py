@@ -66,6 +66,7 @@ from .protocol import (
     MAX_LINE_BYTES,
     PROTOCOL_VERSION,
     ProtocolError,
+    check_query,
     decode_request,
     encode,
     error_response,
@@ -641,11 +642,8 @@ class PointsToServer:
         state: _ServeState,
         deadline: Optional[float],
     ) -> Dict[str, Any]:
-        kind = request.get("kind")
-        if not isinstance(kind, str):
-            raise QueryError("bad-argument", "query request lacks a string 'kind'")
         return state.engine.query(
-            kind,
+            request.get("kind"),
             request.get("args") or {},
             timeout=request.get("timeout_s"),
             deadline=deadline,
@@ -662,12 +660,12 @@ class PointsToServer:
         subs: List[Dict[str, Any]] = []
         slots: List[int] = []
         for sub in request["requests"]:
-            if not isinstance(sub, dict):
-                results.append(
-                    error_response(
-                        None, "invalid-request", "batch entry must be an object"
-                    )
-                )
+            try:
+                check_query(sub)
+            except ProtocolError as err:
+                self.metrics.protocol_error(err.code)
+                sub_id = sub.get("id") if isinstance(sub, dict) else None
+                results.append(error_response(sub_id, err.code, str(err)))
                 continue
             results.append(None)
             subs.append(sub)

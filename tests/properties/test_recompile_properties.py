@@ -16,13 +16,18 @@ memoized plans, so this is also the end-to-end fence of the plan memo.
 
 The fact set a recompile starts from is rebuilt from the database's
 meta; it must equal the one extracted from source, field for field, and
-compile to the same database.
+compile to the same database.  A loaded database holds that fact set,
+every name the serve engine accepts resolves through it, and a database
+without it is refused at load and at reload.
 """
 
+import io
+import json
 import tempfile
 from functools import lru_cache
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bench.generator import WorkloadParams, generate_program
@@ -34,7 +39,16 @@ from repro.incremental import (
     write_fixpoint_bundle,
 )
 from repro.ir.facts import Facts, extract_facts
-from repro.serve import compile_database, compile_database_with_state
+from repro.runtime import InvalidInputError
+from repro.serve import (
+    PointsToClient,
+    PointsToDatabase,
+    PointsToServer,
+    QueryEngine,
+    ServerError,
+    compile_database,
+    compile_database_with_state,
+)
 
 PROGRAMS = [
     WorkloadParams(seed=1, layers=3, use_library=False),
@@ -121,3 +135,63 @@ def test_source_and_meta_give_one_fact_set(seed, threads, flags, budget_class):
     assert compile_database(
         facts=rebuilt, budget_class=budget_class
     ).db_id == db.db_id
+
+
+@given(
+    seed=st.integers(0, 10**4),
+    threads=st.integers(0, 2),
+    budget_class=st.sampled_from(BUDGET_CLASSES),
+)
+@settings(max_examples=4, deadline=None)
+def test_loaded_database_holds_its_facts(seed, threads, budget_class):
+    program = generate_program(WorkloadParams(
+        seed=seed, layers=3, threads=threads, use_library=False,
+    ))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "db.ptdb"
+        compile_database(program, budget_class=budget_class).save(path)
+        db = PointsToDatabase.load(path)
+        facts = extract_facts(program)
+        assert db.facts == facts
+
+        engine = QueryEngine(db)
+        for domain, names in db.maps.items():
+            for ordinal, name in enumerate(names):
+                assert db.id_of(domain, name) == ordinal
+                if domain in "VMH":
+                    assert engine._resolve(domain, name) == ordinal
+        for spec, ordinal in db.var_reps.items():
+            assert facts.var_reps[spec] == ordinal
+            assert db.var_id(spec) == ordinal
+            assert engine._resolve("V", spec) == ordinal
+
+        # A database from a tool older than the embedded fact set.
+        lines = path.read_text().splitlines()
+        meta = json.loads(lines[1][len("meta "):])
+        del meta["facts"]
+        lines[1] = "meta " + json.dumps(
+            meta, sort_keys=True, separators=(",", ":")
+        )
+        legacy = Path(tmp) / "legacy.ptdb"
+        legacy.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InvalidInputError, match="older tool"):
+            PointsToDatabase.load(legacy)
+
+        server = PointsToServer(db, port=0, log=io.StringIO())
+        server.start()
+        try:
+            with PointsToClient(*server.address) as client:
+                before = client.health()
+                with pytest.raises(ServerError) as exc:
+                    client.reload(path=str(legacy))
+                assert exc.value.code == "reload-failed"
+                assert "older tool" in str(exc.value)
+                after = client.health()
+                assert (after["epoch"], after["db_id"]) == (
+                    before["epoch"], db.db_id
+                )
+                spec = sorted(db.var_reps)[0]
+                assert client.query("callers", {"method": db.maps["M"][0]})
+                assert client.query("points-to", {"variable": spec})
+        finally:
+            server.shutdown(drain_timeout=2.0)

@@ -149,6 +149,19 @@ class TestRejection:
         )
         assert PointsToDatabase.load(ok).db_id
 
+    def test_database_without_facts_refused(self, db_path, tmp_path):
+        lines = _lines(db_path)
+        meta = json.loads(lines[1][len("meta "):])
+        del meta["facts"]
+        lines[1] = "meta " + json.dumps(meta, sort_keys=True, separators=(",", ":"))
+        with pytest.raises(InvalidInputError, match="older tool"):
+            PointsToDatabase.load(_write(tmp_path, lines))
+
+    def test_malformed_fact_set_refused(self, db_path, tmp_path):
+        bad = _tamper_meta(db_path, tmp_path, site_method={"0": "x"})
+        with pytest.raises(InvalidInputError, match="malformed fact set"):
+            PointsToDatabase.load(bad)
+
     def test_missing_relation_schema(self, db_path, tmp_path):
         bad = _tamper_meta(db_path, tmp_path, relations="oops")
         with pytest.raises(InvalidInputError, match="relations"):

@@ -104,6 +104,33 @@ class TestArguments:
             )
         assert exc.value.code == "bad-argument"
 
+    @pytest.mark.parametrize("kind, args", [
+        ("points-to", {"variable": True}),
+        ("aliases", {"variable1": "Main.main:a", "variable2": False}),
+        ("callers", {"method": True}),
+        ("escape", {"heap": False}),
+        ("points-to", {"variable": "Main.main:a", "context": True}),
+        ("mod-ref", {"method": "Helper.keep", "context": False}),
+    ])
+    def test_booleans_are_not_ordinals(self, engine, kind, args):
+        # JSON true/false are Python ints; they must not select V[1],
+        # H[0] or context 1.
+        with pytest.raises(QueryError) as exc:
+            engine.query(kind, args)
+        assert exc.value.code == "bad-argument"
+
+    def test_database_lookups_are_typed(self, loaded_db):
+        from repro.runtime import InvalidInputError
+
+        for lookup in (
+            lambda: loaded_db.var_id("Nope.nope:x"),
+            lambda: loaded_db.var_id("no-method-part"),
+            lambda: loaded_db.method_id("Nope.nope"),
+            lambda: loaded_db.id_of("H", "<missing>"),
+        ):
+            with pytest.raises(InvalidInputError):
+                lookup()
+
 
 class TestCache:
     def test_hit_after_miss(self, loaded_db):

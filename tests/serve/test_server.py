@@ -146,6 +146,34 @@ class TestFaultMatrix:
         assert exc.value.code == "budget-exceeded"
         assert client.ping() is True
 
+    def test_boolean_timeout_rejected(self, server):
+        (resp,) = _raw(
+            server,
+            b'{"verb": "query", "kind": "points-to", '
+            b'"args": {"variable": "Main.main:a"}, "timeout_s": true}\n',
+        )
+        assert resp["error"]["code"] == "invalid-request"
+
+    def test_malformed_batch_entries_answer_in_place(self, client):
+        responses = client.batch(
+            [
+                {"kind": "points-to", "args": {"variable": "Main.main:a"}},
+                {"kind": "points-to", "args": ["Main.main:a"]},
+                {"kind": "points-to", "args": {"variable": "Main.main:b"},
+                 "timeout_s": "soon", "no_cache": True},
+                {"kind": "points-to", "args": {"variable": "Main.main:a"},
+                 "timeout_s": True},
+                {"kind": 7},
+                {"kind": "escape", "args": {"heap": "<global>"}},
+            ]
+        )
+        codes = [r["ok"] or r["error"]["code"] for r in responses]
+        assert codes == [
+            True, "invalid-request", "invalid-request", "invalid-request",
+            "invalid-request", True,
+        ]
+        assert responses[0]["result"]["count"] >= 1
+
     def test_blank_lines_ignored(self, server):
         (resp,) = _raw(server, b'\n\n{"verb": "ping"}\n')
         assert resp["ok"] is True
